@@ -11,50 +11,35 @@ sim::Time effective_period(const sys::SbSpec& sb) {
     return sb.clock.base_period * sb.clock.divider;
 }
 
-struct NodeView {
-    std::size_t ring = 0;
-    std::size_t sb = 0;        // SB hosting this node
-    std::size_t peer_sb = 0;   // SB hosting the ring's other node
-    sim::Time provisioned = 0;  // R * T_local
-    sim::Time away_nominal = 0; // round trip + peer hold + alignment
-};
-
 }  // namespace
 
-RuleReport check_rules(const sys::SocSpec& spec) {
-    RuleReport report;
-    report.stall_bound.assign(spec.sbs.size(), 0);
-
-    std::vector<NodeView> nodes;
+std::vector<StallStation> stall_stations(const sys::SocSpec& spec) {
+    std::vector<StallStation> nodes;
     for (std::size_t r = 0; r < spec.rings.size(); ++r) {
         const auto& ring = spec.rings[r];
         const sim::Time t_a = effective_period(spec.sbs[ring.sb_a]);
         const sim::Time t_b = effective_period(spec.sbs[ring.sb_b]);
         const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
 
-        NodeView a;
+        StallStation a;
         a.ring = r;
         a.sb = ring.sb_a;
         a.peer_sb = ring.sb_b;
         a.provisioned = static_cast<sim::Time>(ring.node_a.recycle) * t_a;
-        a.away_nominal =
+        a.away =
             round_trip + static_cast<sim::Time>(ring.node_b.hold + 1) * t_b;
         nodes.push_back(a);
 
-        NodeView b;
+        StallStation b;
         b.ring = r;
         b.sb = ring.sb_b;
         b.peer_sb = ring.sb_a;
         b.provisioned = static_cast<sim::Time>(ring.node_b.recycle) * t_b;
-        b.away_nominal =
+        b.away =
             round_trip + static_cast<sim::Time>(ring.node_a.hold + 1) * t_a;
         nodes.push_back(b);
     }
 
-    // Multi-rings (token buses): from each member's view the token is away
-    // for the full hop circumference plus every other member's hold (and one
-    // alignment cycle each). The transitive peer is modelled as the
-    // worst-stalled other member.
     for (std::size_t r = 0; r < spec.multi_rings.size(); ++r) {
         const auto& mr = spec.multi_rings[r];
         sim::Time hops_total = 0;
@@ -69,59 +54,28 @@ RuleReport check_rules(const sys::SocSpec& spec) {
                 others += static_cast<sim::Time>(other.node.hold + 1) *
                           effective_period(spec.sbs[other.sb]);
             }
-            // One NodeView per (member, other-member) pair so the fixpoint
-            // can propagate stalls from any co-member's SB.
             for (std::size_t j = 0; j < mr.members.size(); ++j) {
                 if (j == i) continue;
-                NodeView v;
+                StallStation v;
                 v.ring = spec.rings.size() + r;  // distinct ring id space
                 v.sb = me.sb;
                 v.peer_sb = mr.members[j].sb;
                 v.provisioned =
                     static_cast<sim::Time>(me.node.recycle) * t_local;
-                v.away_nominal = hops_total + others;
+                v.away = hops_total + others;
                 nodes.push_back(v);
             }
         }
     }
+    return nodes;
+}
 
-    // Per-node fixpoint:
-    //   stall(n) = max(0, away(n) + cross(n) - provisioned(n))
-    //   cross(n) = max stall(m) over nodes m in n's *peer* SB on rings
-    //              OTHER than n's own ring.
-    // Excluding n's own ring is essential: a node waiting on ring r cannot
-    // delay ring r's token (it just passed it), so a single-ring pair can
-    // never deadlock. Divergence of the fixpoint means a genuine cyclic
-    // chain of under-provisioned rings (deadlock risk).
-    const std::size_t max_iters = (spec.sbs.size() + 2) * (nodes.size() + 2);
-    std::vector<sim::Time> stall(nodes.size(), 0);
-    bool diverged = false;
-    for (std::size_t iter = 0;; ++iter) {
-        bool changed = false;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const auto& n = nodes[i];
-            sim::Time cross = 0;
-            for (std::size_t j = 0; j < nodes.size(); ++j) {
-                if (nodes[j].sb == n.peer_sb && nodes[j].ring != n.ring) {
-                    cross = std::max(cross, stall[j]);
-                }
-            }
-            const sim::Time pressure = n.away_nominal + cross;
-            const sim::Time s =
-                pressure > n.provisioned ? pressure - n.provisioned : 0;
-            if (s > stall[i]) {
-                stall[i] = s;
-                changed = true;
-            }
-        }
-        if (!changed) break;
-        if (iter >= max_iters) {
-            diverged = true;
-            break;
-        }
-    }
+RuleReport check_rules(const sys::SocSpec& spec) {
+    RuleReport report;
+    const std::vector<StallStation> nodes = stall_stations(spec);
+    const StallFixpoint fp = stall_fixpoint(nodes, spec.sbs.size());
 
-    if (diverged) {
+    if (fp.diverged) {
         report.ok = false;
         report.violations.push_back(
             "cyclic chain of under-provisioned recycle registers: stall "
@@ -130,23 +84,33 @@ RuleReport check_rules(const sys::SocSpec& spec) {
     report.stall_bound.assign(spec.sbs.size(), 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         report.stall_bound[nodes[i].sb] =
-            std::max(report.stall_bound[nodes[i].sb], stall[i]);
+            std::max(report.stall_bound[nodes[i].sb], fp.stall[i]);
     }
 
     // Per-node report: rings whose recycle provisioning cannot even cover
     // the nominal token round trip are flagged individually (they stall the
-    // clock routinely; combined with a cycle they deadlock).
-    for (const auto& n : nodes) {
-        if (n.provisioned < n.away_nominal) {
-            std::ostringstream os;
+    // clock routinely; combined with a cycle they deadlock). A multi-ring
+    // member's stations all share one budget, so it is flagged once.
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const auto& n = nodes[i];
+        if (n.provisioned >= n.away) continue;
+        std::ostringstream os;
+        if (n.ring < spec.rings.size()) {
             os << "ring '" << spec.rings[n.ring].name << "' node in SB '"
-               << spec.sbs[n.sb].name << "': provisioned wait "
-               << sim::format_time(n.provisioned)
-               << " < nominal token absence "
-               << sim::format_time(n.away_nominal)
-               << " (late tokens guaranteed; verify transitive slack)";
-            report.violations.push_back(os.str());
+               << spec.sbs[n.sb].name << "'";
+        } else {
+            if (i > 0 && nodes[i - 1].ring == n.ring &&
+                nodes[i - 1].sb == n.sb) {
+                continue;
+            }
+            os << "multi-ring '"
+               << spec.multi_rings[n.ring - spec.rings.size()].name
+               << "' member SB '" << spec.sbs[n.sb].name << "'";
         }
+        os << ": provisioned wait " << sim::format_time(n.provisioned)
+           << " < nominal token absence " << sim::format_time(n.away)
+           << " (late tokens guaranteed; verify transitive slack)";
+        report.violations.push_back(os.str());
     }
     return report;
 }

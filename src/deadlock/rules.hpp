@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "deadlock/fixpoint.hpp"
 #include "system/spec.hpp"
 
 namespace st::dl {
@@ -17,16 +18,26 @@ struct RuleReport {
     std::string summary() const;
 };
 
+/// The fixpoint stations of `spec` (DESIGN.md §6): node n on ring r in SB s
+/// provisions `R_n * T_s` of wait after passing the token. The token is away
+/// for the wire round trip plus the peer's hold phase plus up to one peer
+/// cycle of recycle alignment. A multi-ring (token bus) member sees the
+/// token away for the full hop circumference plus every other member's hold
+/// (and one alignment cycle each); it gets one station per other member, so
+/// the fixpoint can propagate stalls from any co-member's SB. Two-node rings
+/// come first, then multi-rings, in spec order.
+std::vector<StallStation> stall_stations(const sys::SocSpec& spec);
+
 /// Static deadlock-preventing design rules for hold/recycle register values
 /// (the paper formally derives such rules but leaves them out of scope;
 /// DESIGN.md §6 documents this derivation).
 ///
-/// Model: node n on ring r in SB s provisions `R_n * T_s` of wait after
-/// passing the token. The token is away for the wire round trip plus the
-/// peer's hold phase plus up to one peer cycle of recycle alignment — and,
-/// transitively, plus any stall the *peer SB* suffers from its other rings.
-/// We compute a fixpoint of per-SB stall bounds; if it diverges there is a
-/// cyclic chain of under-provisioned rings that can deadlock.
+/// Runs stall_fixpoint() over stall_stations(spec): transitively, a
+/// station's token is also delayed by any stall its *peer SB* suffers from
+/// its other rings. If the per-SB stall bounds diverge there is a cyclic
+/// chain of under-provisioned rings that can deadlock. Stations whose
+/// provisioned wait cannot even cover the nominal token absence are listed
+/// as advisories, one per ring node or multi-ring member.
 RuleReport check_rules(const sys::SocSpec& spec);
 
 }  // namespace st::dl

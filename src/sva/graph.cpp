@@ -150,7 +150,7 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
                     g.sbs[mr.members[j].sb].period;
             }
             // One station per (member, other-member) pair, like the dl
-            // fixpoint, so coupling can propagate from any co-member's SB.
+            // fixpoint, so stalls can propagate from any co-member's SB.
             for (std::size_t j = 0; j < mr.members.size(); ++j) {
                 if (j == i) continue;
                 Station v;
@@ -251,19 +251,6 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
         g.fifos.push_back(std::move(e));
     }
 
-    // --- station coupling (the dl cross() relation, precomputed) -----------
-    g.coupling.resize(g.stations.size());
-    std::vector<std::vector<std::size_t>> by_sb(g.sbs.size());
-    for (std::size_t i = 0; i < g.stations.size(); ++i) {
-        by_sb[g.stations[i].sb].push_back(i);
-    }
-    for (std::size_t n = 0; n < g.stations.size(); ++n) {
-        for (const std::size_t j : by_sb[g.stations[n].peer_sb]) {
-            if (g.stations[j].ring != g.stations[n].ring) {
-                g.coupling[n].push_back(j);
-            }
-        }
-    }
     // A trap witness promises that elaboration throws *cleanly*. That only
     // holds when every structural defect is of the clean-throwing kind: if
     // an ill-indexed defect coexists, elaboration may fault on it first, so

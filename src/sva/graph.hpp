@@ -12,10 +12,10 @@ namespace st::sva {
 
 /// One token-ring station: a ring endpoint's (or multi-ring member's) view
 /// of the token schedule, annotated with the budgets the static passes
-/// reason about. Mirrors the absorbed dl::check_rules node model exactly —
-/// one station per endpoint for two-node rings, one station per
-/// (member, other-member) pair for multi-rings — so the sva deadlock pass
-/// and the legacy fixpoint agree by construction.
+/// reason about. Mirrors `dl::stall_stations` exactly — one station per
+/// endpoint for two-node rings, one station per (member, other-member) pair
+/// for multi-rings — and both run the one `dl::stall_fixpoint` kernel, so
+/// the sva deadlock pass and `dl::check_rules` agree by construction.
 struct Station {
     std::size_t ring = 0;  ///< unified id: rings, then multi_rings offset
     bool multi = false;
@@ -73,19 +73,18 @@ struct RingInfo {
     std::size_t holders = 0;  ///< number of initial token holders (budget)
 };
 
-/// The token-flow graph IR every sva pass runs over: SBs, stations, FIFO
-/// edges, and the station-coupling relation (station j couples into station
-/// n when j sits in n's peer SB on a different ring — j's stall delays the
-/// token n waits for). Structural defects found while lowering are recorded
-/// instead of thrown, so the structure pass can report them as obligations.
+/// The token-flow graph IR every sva pass runs over: SBs, stations and FIFO
+/// edges. Station j couples into station n when j sits in n's peer SB on a
+/// different ring (j's stall delays the token n waits for); the deadlock
+/// pass evaluates it inside `dl::stall_fixpoint`. Structural defects
+/// found while lowering are recorded instead of thrown, so the structure
+/// pass can report them as obligations.
 struct TokenFlowGraph {
     const sys::SocSpec* spec = nullptr;
     std::vector<SbNode> sbs;
     std::vector<RingInfo> rings;
     std::vector<Station> stations;
     std::vector<FifoEdge> fifos;
-    /// coupling[n] = stations feeding station n's transitive stall.
-    std::vector<std::vector<std::size_t>> coupling;
     /// Lowering-time structural defects (rule `sva-structure`). When any
     /// defect makes an element un-lowerable the element is skipped; deeper
     /// passes run only on a graph with no defects.

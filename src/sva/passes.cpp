@@ -5,13 +5,14 @@
 #include <limits>
 #include <sstream>
 
+#include "deadlock/fixpoint.hpp"
 #include "sim/time.hpp"
 
 namespace st::sva {
 
 namespace {
 
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kNone = dl::kNoStation;
 
 /// The paper's audited perturbation envelope (§5): asynchronous delays at
 /// 50–200% of nominal, clocks clamped to >= 75% (the bundling constraint).
@@ -115,59 +116,19 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
         return out;
     }
 
-    // Monotone max-plus recurrence with zero floors (identical numbers to
-    // dl::check_rules):
-    //   stall(n) = max(0, away(n) + max_{j in coupling(n)} stall(j)
-    //                     - provisioned(n))
-    // Values only grow; any growth after |V| rounds requires a dependency
-    // walk longer than |V| stations, which must revisit one — and the
-    // revisited segment must have net-positive deficit. So a change in
-    // round |V|+1 certifies a positive-deficit coupling cycle (divergence),
-    // and following the argmax predecessors from a still-growing station
-    // extracts one such cycle.
-    std::vector<sim::Time> stall(V, 0);
-    std::vector<std::size_t> pred(V, kNone);
-    std::vector<char> grew(V, 0);
-    bool diverged = false;
-    std::size_t rounds = 0;
-    for (std::size_t round = 0;; ++round) {
-        bool changed = false;
-        std::fill(grew.begin(), grew.end(), 0);
-        for (std::size_t i = 0; i < V; ++i) {
-            const auto& n = g.stations[i];
-            sim::Time cross = 0;
-            std::size_t best = kNone;
-            for (const std::size_t j : g.coupling[i]) {
-                if (stall[j] > cross) {
-                    cross = stall[j];
-                    best = j;
-                }
-            }
-            const sim::Time pressure = n.away + cross;
-            const sim::Time s =
-                pressure > n.provisioned ? pressure - n.provisioned : 0;
-            if (s > stall[i]) {
-                stall[i] = s;
-                pred[i] = best;
-                grew[i] = 1;
-                changed = true;
-            }
-        }
-        rounds = round + 1;
-        if (!changed) break;
-        if (round >= V + 1) {
-            diverged = true;
-            break;
-        }
-    }
+    // The kernel dl::check_rules runs too (deadlock/fixpoint.hpp). Growth
+    // after |V| rounds needs a dependency walk that revisits a station, and
+    // the revisited segment has net-positive deficit, so on divergence the
+    // argmax predecessors of a still-growing station lead into such a cycle.
+    const dl::StallFixpoint fp = dl::stall_fixpoint(g.stations, g.sbs.size());
 
-    if (!diverged) {
+    if (!fp.diverged) {
         sim::Time worst = 0;
         std::size_t worst_i = 0;
         std::size_t fragile = 0;
         for (std::size_t i = 0; i < V; ++i) {
-            if (stall[i] > worst) {
-                worst = stall[i];
+            if (fp.stall[i] > worst) {
+                worst = fp.stall[i];
                 worst_i = i;
             }
             // Worst envelope corner: every away contribution at 200%, the
@@ -178,7 +139,7 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
         }
         std::ostringstream os;
         os << "transitive-stall fixpoint converged over " << V
-           << " station(s) in " << rounds << " round(s); worst stall bound "
+           << " station(s) in " << fp.rounds << " round(s); worst stall bound "
            << ps(worst);
         if (worst > 0) os << " at " << g.stations[worst_i].locus;
         os << "; " << fragile << "/" << V
@@ -192,13 +153,7 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
 
     // Extract a positive-deficit cycle by walking argmax predecessors from
     // a station that was still growing in the final round.
-    std::size_t start = kNone;
-    for (std::size_t i = 0; i < V; ++i) {
-        if (grew[i]) {
-            start = i;
-            break;
-        }
-    }
+    const std::size_t start = fp.still_growing;
     std::vector<std::size_t> cycle;
     if (start != kNone) {
         std::vector<std::size_t> order(V, kNone);
@@ -207,7 +162,7 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
         while (cur != kNone && order[cur] == kNone) {
             order[cur] = path.size();
             path.push_back(cur);
-            cur = pred[cur];
+            cur = fp.pred[cur];
         }
         if (cur != kNone) {
             cycle.assign(path.begin() +

@@ -50,11 +50,12 @@ const std::vector<PassInfo>& sva_pass_catalog();
 /// an obligation (replayable ones carry a nominal model-trap witness).
 std::vector<Obligation> pass_structure(const TokenFlowGraph& g);
 
-/// Deadlock freedom: the dl::check_rules transitive-stall recurrence recast
-/// as graph reasoning. A monotone max-plus system with zero floors over the
-/// station-coupling graph stabilizes within |stations| rounds unless a
-/// positive-deficit coupling cycle exists; divergence extracts the minimal
-/// cycle and concretizes a nominal-delay deadlock witness.
+/// Deadlock freedom: the transitive-stall fixpoint `dl::stall_fixpoint`,
+/// the kernel dl::check_rules runs too. A monotone max-plus system with zero
+/// floors over the station-coupling graph stabilizes within |stations|+1
+/// rounds unless a positive-deficit coupling cycle exists; divergence
+/// extracts the minimal cycle and concretizes a nominal-delay deadlock
+/// witness.
 std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g);
 
 /// Worst-case FIFO occupancy by interval dataflow over token rotations:

@@ -339,6 +339,14 @@ core::TokenNode::Params to_params(const NodeDoc& n) {
 
 sys::SocSpec to_spec(const SpecDoc& doc) {
     sys::SocSpec spec;
+    // Channels by source SB, in channel order: one pass, so a 1024-SB NoC
+    // does not rescan every channel per SB.
+    std::vector<std::vector<std::size_t>> outputs(doc.sbs.size());
+    for (std::size_t c = 0; c < doc.channels.size(); ++c) {
+        if (doc.channels[c].from_sb < doc.sbs.size()) {
+            outputs[doc.channels[c].from_sb].push_back(c);
+        }
+    }
     for (std::size_t i = 0; i < doc.sbs.size(); ++i) {
         const auto& sb = doc.sbs[i];
         sys::SbSpec s;
@@ -362,8 +370,8 @@ sys::SocSpec to_spec(const SpecDoc& doc) {
             cfg.nodes = static_cast<std::uint16_t>(sb.noc.nodes);
             cfg.seed = seed;
             cfg.inject_period = sb.noc.inject_period;
-            for (const auto& c : doc.channels) {
-                if (c.from_sb != i) continue;
+            for (const std::size_t k : outputs[i]) {
+                const auto& c = doc.channels[k];
                 if (c.to_sb >= doc.sbs.size() ||
                     !doc.sbs[c.to_sb].has_noc) {
                     throw std::runtime_error(

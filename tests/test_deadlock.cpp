@@ -2,9 +2,11 @@
 
 #include "deadlock/rules.hpp"
 #include "deadlock/waitfor.hpp"
+#include "sva/spec_text.hpp"
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
+#include "topo/topo.hpp"
 #include "workload/traffic.hpp"
 
 namespace st::dl {
@@ -75,6 +77,33 @@ TEST(DeadlockRules, PairStallBoundsAreSmallAndBounded) {
     EXPECT_TRUE(report.ok);
     EXPECT_LE(report.stall_bound[0], 1000u);
     EXPECT_LE(report.stall_bound[1], 1000u);
+}
+
+TEST(DeadlockRules, UnderProvisionedMultiRingMembersAreNamed) {
+    // Zero recycle on a ring-of-rings bus: the advisory loop once indexed
+    // the two-node ring table with the bus's ring id and crashed.
+    topo::Options o;
+    o.shape = topo::Shape::kHierRing;
+    o.sbs = 64;
+    o.seed = 7;
+    sys::SocSpec spec = sva::to_spec(topo::generate(o));
+    auto& bus = spec.multi_rings.at(0);
+    for (auto& m : bus.members) m.node.recycle = 0;
+
+    const auto report = check_rules(spec);
+    std::vector<std::string> on_bus;
+    for (const auto& v : report.violations) {
+        if (v.rfind("multi-ring '" + bus.name + "'", 0) == 0) {
+            on_bus.push_back(v);
+        }
+    }
+    // One advisory per member, not one per (member, other-member) station.
+    ASSERT_EQ(on_bus.size(), bus.members.size());
+    for (std::size_t i = 0; i < on_bus.size(); ++i) {
+        const std::string locus = "multi-ring '" + bus.name + "' member SB '" +
+                                  spec.sbs[bus.members[i].sb].name + "': ";
+        EXPECT_EQ(on_bus[i].rfind(locus, 0), 0u) << on_bus[i];
+    }
 }
 
 TEST(DeadlockRuntime, StarvedCycleActuallyDeadlocks) {

@@ -7,7 +7,9 @@
 #include "lint/lint.hpp"
 #include "lint/race_audit.hpp"
 #include "sim/scheduler.hpp"
+#include "sva/spec_text.hpp"
 #include "system/testbenches.hpp"
+#include "topo/topo.hpp"
 
 namespace st::lint {
 namespace {
@@ -171,6 +173,28 @@ TEST(TimingPasses, DeadlockPassCanBeDisabled) {
     opt.deadlock_pass = false;
     EXPECT_TRUE(lint(fixture, opt).ok());
     EXPECT_FALSE(lint(fixture).ok());
+}
+
+TEST(TimingPasses, DeadlockPassNamesUnderProvisionedMultiRingMembers) {
+    // Zero recycle on a ring-of-rings bus: the advisory loop once indexed
+    // the two-node ring table with the bus's ring id and crashed.
+    topo::Options o;
+    o.shape = topo::Shape::kHierRing;
+    o.sbs = 64;
+    o.seed = 7;
+    sys::SocSpec spec = sva::to_spec(topo::generate(o));
+    auto& bus = spec.multi_rings.at(0);
+    for (auto& m : bus.members) m.node.recycle = 0;
+
+    const auto advisories = lint(spec).for_rule("deadlock-advisory");
+    std::size_t on_bus = 0;
+    for (const auto& d : advisories) {
+        if (d.message.rfind("multi-ring '" + bus.name + "' member SB '", 0) ==
+            0) {
+            ++on_bus;
+        }
+    }
+    EXPECT_EQ(on_bus, bus.members.size());
 }
 
 // ---------------------------------------------------------------------------
