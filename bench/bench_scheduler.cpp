@@ -3,16 +3,19 @@
 // (every fuzz case, determinism sweep and bench run is millions of
 // schedule/dispatch pairs).
 //
-// This PR's kernel overhaul — move-only small-buffer callbacks instead of
-// std::function, a slab/free-list event pool behind a (time, priority, seq)
-// keyed heap — is measured here, and the numbers land in
-// BENCH_scheduler.json so future PRs can track the trajectory
+// The kernel's hot path — move-only small-buffer callbacks built and run in
+// place in pooled event records, behind a (time, priority, seq) keyed heap —
+// is measured here. Every row is a median over repeated samples with its
+// p95/CV, recorded in BENCH_scheduler.json so the trajectory can be tracked
 // (docs/PERF.md).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "sim/scheduler.hpp"
@@ -80,27 +83,46 @@ double soc_events_per_sec(std::uint64_t cycles) {
            (secs > 0 ? secs : 1e-9);
 }
 
+/// One warm-up run, then `samples` recorded runs of an events/s probe.
+bench::SampleStats rate_stats(std::size_t samples,
+                              const std::function<double()>& probe) {
+    probe();
+    std::vector<double> xs;
+    xs.reserve(samples);
+    for (std::size_t i = 0; i < samples; ++i) xs.push_back(probe());
+    return bench::compute_stats(std::move(xs));
+}
+
 void run_experiment() {
-    const std::uint64_t chain_n = bench::quick_mode() ? 200'000 : 2'000'000;
-    const std::uint64_t rounds = bench::quick_mode() ? 2'000 : 20'000;
-    const std::uint64_t cycles = bench::quick_mode() ? 2'000 : 20'000;
+    const bool quick = bench::quick_mode();
+    const std::uint64_t chain_n = quick ? 200'000 : 2'000'000;
+    const std::uint64_t rounds = quick ? 2'000 : 20'000;
+    const std::uint64_t cycles = quick ? 2'000 : 20'000;
+    const std::size_t samples = quick ? 5 : 15;
 
     bench::banner("Scheduler kernel event throughput");
-    const double chain = chain_events_per_sec(chain_n);
-    const double wide64 = wide_events_per_sec(64, rounds);
-    const double wide1k = wide_events_per_sec(1024, rounds / 10);
-    const double soc = soc_events_per_sec(cycles);
-    std::printf("%-32s | %12.0f events/s\n", "self-rescheduling chain", chain);
-    std::printf("%-32s | %12.0f events/s\n", "64-wide periodic queue", wide64);
-    std::printf("%-32s | %12.0f events/s\n", "1024-wide periodic queue",
-                wide1k);
-    std::printf("%-32s | %12.0f events/s\n", "pair SoC end-to-end", soc);
+    const auto chain =
+        rate_stats(samples, [&] { return chain_events_per_sec(chain_n); });
+    const auto wide64 =
+        rate_stats(samples, [&] { return wide_events_per_sec(64, rounds); });
+    const auto wide1k = rate_stats(
+        samples, [&] { return wide_events_per_sec(1024, rounds / 10); });
+    const auto soc =
+        rate_stats(samples, [&] { return soc_events_per_sec(cycles); });
+    const auto row = [](const char* name, const bench::SampleStats& s) {
+        std::printf("%-26s | %12.0f events/s median | p95 %12.0f | CV %.3f\n",
+                    name, s.median, s.p95, s.cv);
+    };
+    row("self-rescheduling chain", chain);
+    row("64-wide periodic queue", wide64);
+    row("1024-wide periodic queue", wide1k);
+    row("pair SoC end-to-end", soc);
 
     bench::JsonReport report("BENCH_scheduler.json");
-    report.add("scheduler_chain", chain, "events/s", 1);
-    report.add("scheduler_wide64", wide64, "events/s", 1);
-    report.add("scheduler_wide1024", wide1k, "events/s", 1);
-    report.add("scheduler_soc_pair", soc, "events/s", 1);
+    report.add_stats("scheduler_chain", chain, "events/s", 1);
+    report.add_stats("scheduler_wide64", wide64, "events/s", 1);
+    report.add_stats("scheduler_wide1024", wide1k, "events/s", 1);
+    report.add_stats("scheduler_soc_pair", soc, "events/s", 1);
     report.write();
 }
 

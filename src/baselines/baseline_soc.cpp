@@ -99,10 +99,7 @@ bool BaselineSoc::run_cycles(std::uint64_t n_cycles, sim::Time deadline) {
     };
     while (!goal_met()) {
         if (sched_.stop_requested()) return false;  // cooperative early exit
-        if (sched_.quiescent() || sched_.next_event_time() > deadline) {
-            return false;
-        }
-        sched_.step();
+        if (!sched_.step_until(deadline)) return false;  // quiescent or late
     }
     return true;
 }

@@ -33,15 +33,11 @@ StopInfo Driver::run_impl(sim::Time deadline,
             info.reason = StopReason::kBreakpoint;
             break;
         }
-        if (sched.quiescent()) {
-            info.reason = StopReason::kQuiescent;
+        if (!sched.step_until(deadline)) {
+            info.reason = sched.quiescent() ? StopReason::kQuiescent
+                                            : StopReason::kDeadline;
             break;
         }
-        if (sched.next_event_time() > deadline) {
-            info.reason = StopReason::kDeadline;
-            break;
-        }
-        sched.step();
     }
     // Land on a slot boundary so the stop state is snapshottable and
     // digests are reproducible across sessions.

@@ -33,36 +33,15 @@ sim::Time perturbed_max_effective_period(const sys::SocSpec& nominal,
 bool run_bounded(sys::Soc& soc, std::uint64_t n_cycles, sim::Time deadline,
                  std::uint64_t max_events, bool& budget_expired) {
     soc.start();
-    budget_expired = false;
-    auto& sched = soc.scheduler();
-    const std::uint64_t budget0 = sched.events_executed();
-    // O(1) per event: watch one laggard SB at a time (cycle counts only
-    // grow), mirroring Soc::run_cycles — the run stops at the same event
-    // boundary as the full-scan formulation.
+    // A stop request (the streaming checker classified the run divergent)
+    // ends the run with at most the event in flight past the mismatch.
     std::size_t lag = 0;
-    for (;;) {
-        while (lag < soc.num_sbs() &&
-               soc.wrapper(lag).clock().cycles() >= n_cycles) {
-            ++lag;
-        }
-        if (lag == soc.num_sbs()) return true;
-        while (soc.wrapper(lag).clock().cycles() < n_cycles) {
-            if (sched.stop_requested()) {
-                // Cooperative early exit (streaming checker classified the
-                // run divergent): at most the event in flight ran past the
-                // mismatch.
-                return false;
-            }
-            if (sched.quiescent() || sched.next_event_time() > deadline) {
-                return false;
-            }
-            if (sched.events_executed() - budget0 >= max_events) {
-                budget_expired = true;
-                return false;
-            }
-            sched.step();
-        }
-    }
+    const auto end = soc.advance(
+        sys::Soc::RunGoal{n_cycles, deadline, max_events,
+                          soc.scheduler().events_executed()},
+        lag);
+    budget_expired = end == sys::Soc::RunEnd::kBudget;
+    return end == sys::Soc::RunEnd::kGoal;
 }
 
 std::uint64_t total_protocol_errors(sys::Soc& soc) {

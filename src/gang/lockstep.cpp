@@ -13,46 +13,22 @@ struct Active {
 };
 
 /// Advance one lane by at most `window` events; sets `done` when the lane
-/// reached a terminal condition. Mirrors the scalar bounded cycle loop
-/// check-for-check (fuzz run_bounded / Soc::run_cycles): interrupting at a
-/// window boundary and resuming later re-evaluates the same conditions in
-/// the same order, so the terminal event boundary is identical.
+/// reached a terminal condition. This is the scalar bounded cycle loop
+/// (sys::Soc::advance) sliced into windows: interrupting at a window
+/// boundary and resuming later re-evaluates the same conditions in the same
+/// order, so the terminal event boundary is identical.
 void advance(Active& a, std::uint64_t window) {
-    sys::Soc& soc = *a.goal->soc;
-    auto& sched = soc.scheduler();
-    const std::uint64_t budget0 = a.status->budget_start;
-    std::uint64_t left = window;
-    for (;;) {
-        while (a.lag < soc.num_sbs() &&
-               soc.wrapper(a.lag).clock().cycles() >= a.goal->cycles) {
-            ++a.lag;
-        }
-        if (a.lag == soc.num_sbs()) {
-            a.done = true;
-            a.status->goal_met = true;
-            return;
-        }
-        while (soc.wrapper(a.lag).clock().cycles() < a.goal->cycles) {
-            if (sched.stop_requested()) {
-                a.done = true;
-                a.status->stopped_early = true;
-                return;
-            }
-            if (sched.quiescent() ||
-                sched.next_event_time() > a.goal->deadline) {
-                a.done = true;
-                return;
-            }
-            if (sched.events_executed() - budget0 >= a.goal->max_events) {
-                a.done = true;
-                a.status->budget_expired = true;
-                return;
-            }
-            if (left == 0) return;  // window exhausted — yield to next lane
-            sched.step();
-            --left;
-        }
-    }
+    using End = sys::Soc::RunEnd;
+    const LaneGoal& g = *a.goal;
+    const End end = g.soc->advance(
+        sys::Soc::RunGoal{g.cycles, g.deadline, g.max_events,
+                          a.status->budget_start},
+        a.lag, window);
+    if (end == End::kWindow) return;  // yield to the next lane
+    a.done = true;
+    a.status->goal_met = end == End::kGoal;
+    a.status->stopped_early = end == End::kStopped;
+    a.status->budget_expired = end == End::kBudget;
 }
 
 }  // namespace

@@ -48,10 +48,10 @@ struct LaneStatus {
 
 /// Advance every lane to completion (or peel) in lockstep: round-robin over
 /// the active lanes, each visit executing up to `window` events of that
-/// lane's private scheduler. Per lane this is exactly the scalar bounded
-/// cycle loop — same checks in the same order before every event (stop
-/// request, quiescence, deadline, event budget), the laggard-SB goal scan —
-/// just sliced into windows; since lanes share no simulator state, the
+/// lane's private scheduler. Per lane this is the scalar bounded cycle loop
+/// itself (`sys::Soc::advance`: stop request, quiescence, deadline, event
+/// budget before every event, the laggard-SB goal scan), just sliced into
+/// windows; since lanes share no simulator state, the
 /// interleaving cannot alter any lane's event sequence, and each lane stops
 /// at the identical event boundary the scalar engine would have stopped at.
 ///

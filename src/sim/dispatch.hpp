@@ -104,24 +104,32 @@ class DispatchCore {
         sift_up(heap_.size() - 1);
     }
 
-    /// Remove and return the earliest entry. Precondition: !empty().
-    Entry pop() {
-        --size_;
+    /// Remove the earliest entry into `out` if its time is at or before
+    /// `limit`; otherwise (or when empty) leave the queue untouched and
+    /// return false. One look at the front serves both the bound check and
+    /// the pop — the run loops' whole per-event queue cost.
+    bool pop_until(Time limit, Entry& out) {
         if (bucket_mask_ != 0) {
             const int p = std::countr_zero(bucket_mask_);
             Bucket& b = buckets_[p];
             const Entry& be = b.q[b.head];
             if (heap_.empty() || !earlier(heap_.front(), be)) {
-                Entry out = be;
+                if (be.t > limit) return false;
+                --size_;
+                out = be;
                 if (++b.head == b.q.size()) {
                     b.q.clear();
                     b.head = 0;
                     bucket_mask_ &= ~(1u << p);
                 }
-                return out;  // out.t == slot_t_: the slot is unchanged
+                return true;  // out.t == slot_t_: the slot is unchanged
             }
+        } else if (heap_.empty()) {
+            return false;
         }
-        Entry top = heap_.front();
+        if (heap_.front().t > limit) return false;
+        --size_;
+        out = heap_.front();
         const std::size_t n = heap_.size() - 1;
         if (n > 0) {
             heap_.front() = heap_[n];
@@ -133,10 +141,10 @@ class DispatchCore {
         // Pops are monotone in (t, key), so while buckets hold entries at
         // slot_t_ a heap pop can only share that timestamp (with a smaller
         // key); the slot advances only once every bucket has drained.
-        assert(bucket_mask_ == 0 || top.t == slot_t_);
+        assert(bucket_mask_ == 0 || out.t == slot_t_);
         slot_valid_ = true;
-        slot_t_ = top.t;
-        return top;
+        slot_t_ = out.t;
+        return true;
     }
 
     /// Drop every pending entry (the gang lane-reset path). The caller owns

@@ -31,65 +31,44 @@ Scheduler::~Scheduler() {
     auto& pool = slab_pool();
     for (auto& slab : slabs_) {
         if (pool.size() >= kMaxPooledSlabs) break;
-        for (std::size_t i = 0; i < kSlabSize; ++i) {
-            slab[i].cb.reset();
-            slab[i].tag = EventTag{};
-        }
+        for (std::size_t i = 0; i < kSlabSize; ++i) slab[i].cb.reset();
         pool.push_back(std::move(slab));
     }
 }
 
-Scheduler::Event* Scheduler::acquire_event() {
-    if (free_.empty()) {
-        auto& pool = slab_pool();
-        if (!pool.empty()) {
-            slabs_.push_back(std::move(pool.back()));
-            pool.pop_back();
-        } else {
-            slabs_.push_back(std::make_unique<Event[]>(kSlabSize));
-        }
-        Event* base = slabs_.back().get();
-        free_.reserve(free_.size() + kSlabSize);
-        for (std::size_t i = 0; i < kSlabSize; ++i) {
-            free_.push_back(base + i);
-        }
+void Scheduler::grow_pool() {
+    auto& pool = slab_pool();
+    if (!pool.empty()) {
+        slabs_.push_back(std::move(pool.back()));
+        pool.pop_back();
+    } else {
+        slabs_.push_back(std::make_unique<Event[]>(kSlabSize));
     }
-    Event* ev = free_.back();
-    free_.pop_back();
-    return ev;
+    Event* base = slabs_.back().get();
+    for (std::size_t i = kSlabSize; i-- > 0;) {
+        base[i].next_free = free_;
+        free_ = base + i;
+    }
 }
 
-void Scheduler::release_event(Event* ev) {
-    // The callback was either moved out (executed) or is dropped here; either
-    // way the record returns to the free list empty.
+void Scheduler::release_event(Event* ev) noexcept {
     ev->cb.reset();
-    ev->tag = EventTag{};
-    free_.push_back(ev);
+    ev->next_free = free_;
+    free_ = ev;
 }
 
-std::uint64_t Scheduler::schedule_at(Time t, Priority p, EventTag tag,
-                                     Callback cb) {
+void Scheduler::reject_schedule(Time t) const {
     if (t < now_) {
         throw std::logic_error("Scheduler: event scheduled in the past");
     }
-    if (restoring_) {
-        throw std::logic_error(
-            "Scheduler: schedule_at during restore — use rearm()");
-    }
-    Event* ev = acquire_event();
-    ev->tag = tag;
-    ev->cb = std::move(cb);
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(t, static_cast<int>(p), seq, ev);
-    return seq;
+    throw std::logic_error(
+        "Scheduler: schedule_at during restore — use rearm()");
 }
 
 std::uint64_t Scheduler::settle() {
+    // Nothing is pending before now(), so "at or before now()" is "at now()".
     std::uint64_t n = 0;
-    while (!queue_.empty() && queue_.front().t == now_) {
-        step();
-        ++n;
-    }
+    while (step_until(now_)) ++n;
     return n;
 }
 
@@ -174,7 +153,8 @@ void Scheduler::end_restore() {
             " >= the snapshot's next_seq " + std::to_string(next_seq_));
     }
     for (auto& s : staged_) {
-        Event* ev = acquire_event();
+        Event* ev = free_head();
+        free_ = ev->next_free;
         ev->tag = s.tag;
         ev->cb = std::move(s.cb);
         queue_.push(s.t, static_cast<int>(s.p), s.orig_seq, ev);
@@ -209,9 +189,9 @@ void Scheduler::audit_step(Time t, int priority, const EventTag& tag) {
     group_.push_back(GroupMember{tag.actor, tag.label});
 }
 
-bool Scheduler::step() {
-    if (queue_.empty()) return false;
-    const auto e = queue_.pop();
+bool Scheduler::step_until(Time limit) {
+    DispatchCore<Event*>::Entry e;
+    if (!queue_.pop_until(limit, e)) return false;
     now_ = e.t;
     Event* ev = e.payload;
     if (interceptor_ && ev->tag.actor != nullptr &&
@@ -226,20 +206,21 @@ bool Scheduler::step() {
     if (audit_) {
         audit_step(e.t, DispatchCore<Event*>::priority_of(e.key), ev->tag);
     }
-    // Move the callback out and recycle the record *before* invoking: the
-    // callback is free to schedule new events (which may reuse this record).
-    Callback cb = std::move(ev->cb);
-    release_event(ev);
-    cb();
+    // Invoke in place. The record returns to the free list only once the
+    // callback has returned — or thrown — so events it schedules take
+    // other records.
+    struct Recycle {
+        Scheduler* s;
+        Event* ev;
+        ~Recycle() { s->release_event(ev); }
+    } const recycle{this, ev};
+    ev->cb();
     return true;
 }
 
 std::uint64_t Scheduler::run_until(Time t_end) {
     std::uint64_t n = 0;
-    while (!stop_requested_ && !queue_.empty() && queue_.front().t <= t_end) {
-        step();
-        ++n;
-    }
+    while (!stop_requested_ && step_until(t_end)) ++n;
     if (!stop_requested_ && now_ < t_end) now_ = t_end;
     return n;
 }

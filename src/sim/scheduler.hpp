@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/dispatch.hpp"
@@ -57,16 +58,19 @@ struct RaceRecord {
 /// subject of the paper) is represented as *data*: perturbed delay values fed
 /// to the models, never hidden simulator state.
 ///
-/// **Hot path**: callbacks are stored in a move-only small-buffer type
-/// (`SmallFn`, no heap allocation for the models' capture sizes) inside
-/// pool-allocated event records. Ordering lives in `sim::DispatchCore` — the
-/// (time, priority, seq) dispatch kernel shared with the gang engine's
-/// lockstep front-end (`st::gang`) — whose packed 24-byte entries order
-/// fixed-size keys only, so sift operations never move a callback, and
-/// records return to a free list after execution: steady-state simulation
-/// performs no allocation per event. The order is byte-for-byte the same
-/// (time, priority, seq) total order as the original `std::priority_queue`
-/// kernel; golden traces are unchanged.
+/// **Hot path**: callbacks live in a move-only small-buffer type (`SmallFn`,
+/// no heap allocation for the models' capture sizes) inside pool-allocated
+/// event records. `schedule_at` is a template over the callable and builds
+/// it in place in the record (`SmallFn::emplace`); `step_until` invokes it
+/// in place and only then returns the record to the intrusive free list.
+/// A callback is thus never relocated between scheduling and execution,
+/// and a trivially copyable capture needs no destroy call. Ordering lives
+/// in `sim::DispatchCore`, whose packed 24-byte entries order fixed-size
+/// keys only, so sift operations never move a callback; `pop_until` serves
+/// the bound check and the pop with one look at the queue front.
+/// Steady-state simulation performs no allocation per event. The order is
+/// byte-for-byte the same (time, priority, seq) total order as the original
+/// `std::priority_queue` kernel; golden traces are unchanged.
 ///
 /// A Scheduler is confined to one thread. Run-level parallelism lives in
 /// `st::runner`, strictly *across* independent SoC instances, each owning a
@@ -81,6 +85,11 @@ struct RaceRecord {
 class Scheduler {
   public:
     using Callback = SmallFn;
+    /// Constraint of the scheduling templates: anything invocable as an
+    /// event callback.
+    template <typename F>
+    using IfCallable =
+        std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>;
 
     Scheduler() = default;
     Scheduler(const Scheduler&) = delete;
@@ -90,39 +99,74 @@ class Scheduler {
     /// Current simulation time.
     Time now() const { return now_; }
 
-    /// Schedule `cb` at absolute time `t` (must be >= now()). Returns the
-    /// event's insertion sequence number — the tie-break key of the total
-    /// order. Components that participate in snapshot/restore record it so
-    /// the event can be re-armed in exactly its original slot (see rearm).
-    std::uint64_t schedule_at(Time t, Priority p, Callback cb) {
-        return schedule_at(t, p, EventTag{}, std::move(cb));
+    /// Schedule callable `f` at absolute time `t` (must be >= now()).
+    /// Returns the event's insertion sequence number — the tie-break key of
+    /// the total order. Components that participate in snapshot/restore
+    /// record it so the event can be re-armed in exactly its original slot
+    /// (see rearm). `f` is constructed directly in the event's pooled record
+    /// (an lvalue is copied there once, an rvalue moved there once); a
+    /// `Callback` is moved in whole.
+    template <typename F, typename = IfCallable<F>>
+    std::uint64_t schedule_at(Time t, Priority p, F&& f) {
+        return schedule_at(t, p, EventTag{}, std::forward<F>(f));
     }
 
     /// Schedule a tagged event (visible to the race audit).
-    std::uint64_t schedule_at(Time t, Priority p, EventTag tag, Callback cb);
-
-    /// Schedule `cb` `delay` picoseconds from now.
-    std::uint64_t schedule_after(Time delay, Priority p, Callback cb) {
-        return schedule_at(now_ + delay, p, std::move(cb));
+    template <typename F, typename = IfCallable<F>>
+    std::uint64_t schedule_at(Time t, Priority p, EventTag tag, F&& f) {
+        if (t < now_ || restoring_) [[unlikely]] reject_schedule(t);
+        // Build the callback in the free-list head before unlinking it: a
+        // throwing constructor leaves the pool untouched.
+        Event* ev = free_head();
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+            ev->cb = std::forward<F>(f);
+        } else {
+            ev->cb.emplace(std::forward<F>(f));
+        }
+        free_ = ev->next_free;
+        ev->tag = tag;
+        const std::uint64_t seq = next_seq_++;
+        queue_.push(t, static_cast<int>(p), seq, ev);
+        return seq;
     }
 
+    /// Schedule `f` `delay` picoseconds from now.
+    template <typename F, typename = IfCallable<F>>
+    std::uint64_t schedule_after(Time delay, Priority p, F&& f) {
+        return schedule_at(now_ + delay, p, EventTag{}, std::forward<F>(f));
+    }
+
+    template <typename F, typename = IfCallable<F>>
     std::uint64_t schedule_after(Time delay, Priority p, EventTag tag,
-                                 Callback cb) {
-        return schedule_at(now_ + delay, p, tag, std::move(cb));
+                                 F&& f) {
+        return schedule_at(now_ + delay, p, tag, std::forward<F>(f));
     }
 
     /// Schedule with default (asynchronous-event) priority.
-    std::uint64_t schedule_after(Time delay, Callback cb) {
-        return schedule_after(delay, Priority::kDefault, std::move(cb));
+    template <typename F, typename = IfCallable<F>>
+    std::uint64_t schedule_after(Time delay, F&& f) {
+        return schedule_at(now_ + delay, Priority::kDefault, EventTag{},
+                           std::forward<F>(f));
     }
 
-    std::uint64_t schedule_after(Time delay, EventTag tag, Callback cb) {
-        return schedule_after(delay, Priority::kDefault, tag,
-                              std::move(cb));
+    template <typename F, typename = IfCallable<F>>
+    std::uint64_t schedule_after(Time delay, EventTag tag, F&& f) {
+        return schedule_at(now_ + delay, Priority::kDefault, tag,
+                           std::forward<F>(f));
     }
+
+    /// Execute the earliest event if its time is at or before `limit`;
+    /// return false (executing nothing) when the queue is empty or the
+    /// earliest event lies past `limit`. The run loops' one queue access per
+    /// event: the bound check and the pop share a single look at the front.
+    ///
+    /// The callback runs in place in its record; the record returns to the
+    /// free list once the callback has returned — or thrown — so events the
+    /// callback schedules take other records.
+    bool step_until(Time limit);
 
     /// Execute the single earliest event. Returns false if the queue is empty.
-    bool step();
+    bool step() { return step_until(kNever); }
 
     /// Run until the queue is empty or simulated time would exceed `t_end`.
     /// Events at exactly `t_end` are executed. Returns events executed.
@@ -246,16 +290,24 @@ class Scheduler {
 
   private:
     /// Pool-resident payload: everything the dispatch core does not need
-    /// for ordering.
+    /// for ordering. `next_free` links the record into the free list while
+    /// it holds no event.
     struct Event {
         EventTag tag;
         Callback cb;
+        Event* next_free = nullptr;
     };
 
     static constexpr std::size_t kSlabSize = 64;
 
-    Event* acquire_event();
-    void release_event(Event* ev);
+    /// Head of the free list, refilled by a slab when empty. Not unlinked.
+    Event* free_head() {
+        if (free_ == nullptr) [[unlikely]] grow_pool();
+        return free_;
+    }
+    void grow_pool();
+    void release_event(Event* ev) noexcept;
+    [[noreturn]] void reject_schedule(Time t) const;
     void audit_step(Time t, int priority, const EventTag& tag);
 
     /// The calling thread's slab recycle pool (see tls_pooled_slabs).
@@ -282,10 +334,10 @@ class Scheduler {
 
     DispatchCore<Event*> queue_;
     // Slab pool: fixed-size chunks keep Event addresses stable (queue entries
-    // point into them); the free list recycles records across the whole life
-    // of the scheduler.
+    // point into them); the intrusive free list recycles records across the
+    // whole life of the scheduler.
     std::vector<std::unique_ptr<Event[]>> slabs_;
-    std::vector<Event*> free_;
+    Event* free_ = nullptr;
 
     // Race-audit state: tagged members of the (time, priority) group
     // currently executing.

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -26,6 +27,13 @@ class BasicSmallFn;
 /// Being move-only it also accepts captures `std::function` cannot
 /// (e.g. `std::unique_ptr`), which models "this event owns its payload".
 ///
+/// **In place.** `emplace` builds the callable directly in the buffer, so
+/// the scheduler constructs each event's callback straight into its pooled
+/// record (no temporary, no relocation) and invokes it there. Trivially
+/// copyable callables — nearly every event capture is `this` plus scalars —
+/// carry no relocate or destroy function: a move is a `memcpy` of the
+/// buffer and a reset only clears the ops pointer.
+///
 /// Two instantiations ship: `SmallFn` (`void()`, the event callback) and
 /// `Scheduler::Interceptor` (`bool(const EventTag&, Time)`, the fault
 /// surface) — the latter so fault-injected campaigns keep the
@@ -48,14 +56,7 @@ class BasicSmallFn<R(Args...)> {
                   !std::is_same_v<D, BasicSmallFn> &&
                   std::is_invocable_r_v<R, D&, Args...>>>
     BasicSmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-        if constexpr (fits_inline<D>()) {
-            ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-            ops_ = &kInlineOps<D>;
-        } else {
-            using P = D*;
-            ::new (static_cast<void*>(buf_)) P(new D(std::forward<F>(f)));
-            ops_ = &kHeapOps<D>;
-        }
+        emplace(std::forward<F>(f));
     }
 
     BasicSmallFn(BasicSmallFn&& other) noexcept { steal(other); }
@@ -81,10 +82,28 @@ class BasicSmallFn<R(Args...)> {
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+    /// Construct `f` directly in the buffer. Precondition: empty. If the
+    /// callable's constructor throws, *this stays empty.
+    template <typename F, typename D = std::decay_t<F>>
+    void emplace(F&& f) {
+        static_assert(!std::is_same_v<D, BasicSmallFn>,
+                      "BasicSmallFn::emplace: move-assign a BasicSmallFn");
+        static_assert(std::is_invocable_r_v<R, D&, Args...>);
+        assert(ops_ == nullptr && "BasicSmallFn::emplace into a live callback");
+        if constexpr (fits_inline<D>()) {
+            ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+            ops_ = &kInlineOps<D>;
+        } else {
+            using P = D*;
+            ::new (static_cast<void*>(buf_)) P(new D(std::forward<F>(f)));
+            ops_ = &kHeapOps<D>;
+        }
+    }
+
     /// Drop the stored callable (if any), leaving *this empty.
     void reset() noexcept {
         if (ops_ != nullptr) {
-            ops_->destroy(buf_);
+            if (ops_->destroy != nullptr) ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
@@ -110,10 +129,17 @@ class BasicSmallFn<R(Args...)> {
         R (*invoke)(void*, Args&&...);
         /// Move-construct the callable into `dst` from `src`, destroying the
         /// `src` copy. Must not throw: relocation happens inside move ctors.
+        /// nullptr: relocated by copying the first `size` buffer bytes (a
+        /// trivially copyable callable, or the heap path's owning pointer).
         void (*relocate)(void* dst, void* src) noexcept;
+        /// nullptr: nothing to run on reset (a trivially copyable callable).
         void (*destroy)(void*) noexcept;
+        std::size_t size;
         bool inline_storage;
     };
+
+    template <typename D>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<D>;
 
     template <typename D>
     static constexpr Ops kInlineOps = {
@@ -121,12 +147,17 @@ class BasicSmallFn<R(Args...)> {
             return (*std::launder(reinterpret_cast<D*>(p)))(
                 std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) noexcept {
-            D* s = std::launder(reinterpret_cast<D*>(src));
-            ::new (dst) D(std::move(*s));
-            s->~D();
-        },
-        [](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
+        kTrivial<D> ? nullptr
+                    : +[](void* dst, void* src) noexcept {
+                          D* s = std::launder(reinterpret_cast<D*>(src));
+                          ::new (dst) D(std::move(*s));
+                          s->~D();
+                      },
+        kTrivial<D> ? nullptr
+                    : +[](void* p) noexcept {
+                          std::launder(reinterpret_cast<D*>(p))->~D();
+                      },
+        std::is_empty_v<D> ? 0 : sizeof(D),  // an empty class has no state
         true,
     };
 
@@ -136,20 +167,22 @@ class BasicSmallFn<R(Args...)> {
             return (**std::launder(reinterpret_cast<D**>(p)))(
                 std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) noexcept {
-            using P = D*;
-            ::new (dst) P(*std::launder(reinterpret_cast<P*>(src)));
-        },
+        nullptr,  // the buffer holds only the owning pointer
         [](void* p) noexcept {
             delete *std::launder(reinterpret_cast<D**>(p));
         },
+        sizeof(D*),
         false,
     };
 
     void steal(BasicSmallFn& other) noexcept {
         if (other.ops_ != nullptr) {
             ops_ = other.ops_;
-            ops_->relocate(buf_, other.buf_);
+            if (ops_->relocate != nullptr) {
+                ops_->relocate(buf_, other.buf_);
+            } else {
+                std::memcpy(buf_, other.buf_, ops_->size);
+            }
             other.ops_ = nullptr;
         }
     }

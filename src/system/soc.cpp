@@ -140,24 +140,41 @@ void Soc::start() {
 
 bool Soc::run_cycles(std::uint64_t n_cycles, sim::Time deadline) {
     start();
+    std::size_t lag = 0;
+    return advance(RunGoal{n_cycles, deadline}, lag) == RunEnd::kGoal;
+}
+
+Soc::RunEnd Soc::advance(const RunGoal& goal, std::size_t& lag,
+                         std::uint64_t window) {
     // O(1) per event: watch one laggard wrapper at a time instead of
     // re-scanning every SB before every step. Cycle counts only grow, so
     // once a wrapper meets the goal it stays met, and the run still stops
     // at exactly the event that brings the last unmet wrapper to the goal —
     // the same boundary the full-scan formulation stopped at.
-    std::size_t lag = 0;
+    std::uint64_t left = window;
     for (;;) {
         while (lag < wrappers_.size() &&
-               wrappers_[lag]->clock().cycles() >= n_cycles) {
+               wrappers_[lag]->clock().cycles() >= goal.cycles) {
             ++lag;
         }
-        if (lag == wrappers_.size()) return true;
-        while (wrappers_[lag]->clock().cycles() < n_cycles) {
-            if (sched_.stop_requested()) return false;  // cooperative exit
-            if (sched_.quiescent() || sched_.next_event_time() > deadline) {
-                return false;
+        if (lag == wrappers_.size()) return RunEnd::kGoal;
+        const clk::StoppableClock& laggard = wrappers_[lag]->clock();
+        while (laggard.cycles() < goal.cycles) {
+            if (sched_.stop_requested()) return RunEnd::kStopped;
+            const bool spent =
+                sched_.events_executed() - goal.budget_start >=
+                goal.max_events;
+            if (spent || left == 0) [[unlikely]] {
+                // Quiescence and the deadline outrank the budget and the
+                // window: look at the queue front once, only here.
+                if (sched_.quiescent() ||
+                    sched_.next_event_time() > goal.deadline) {
+                    return RunEnd::kIdle;
+                }
+                return spent ? RunEnd::kBudget : RunEnd::kWindow;
             }
-            sched_.step();
+            if (!sched_.step_until(goal.deadline)) return RunEnd::kIdle;
+            --left;
         }
     }
 }

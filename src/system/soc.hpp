@@ -54,6 +54,32 @@ class Soc {
     /// or the wall deadline passes. Returns true when the cycle goal was met.
     bool run_cycles(std::uint64_t n_cycles, sim::Time deadline);
 
+    /// A bounded run's goal and limits (see advance).
+    struct RunGoal {
+        std::uint64_t cycles = 0;  ///< every SB reaches this many local cycles
+        sim::Time deadline = sim::kNever;  ///< absolute simulated-time limit
+        std::uint64_t max_events = ~0ull;  ///< livelock watchdog budget
+        std::uint64_t budget_start = 0;    ///< events_executed() datum
+    };
+
+    /// Why advance returned.
+    enum class RunEnd {
+        kGoal,       ///< every SB reached the cycle goal
+        kStopped,    ///< cooperative scheduler stop request
+        kIdle,       ///< quiescent, or the next event lies past the deadline
+        kBudget,     ///< the event budget is spent
+        kWindow,     ///< `window` events executed; call again to resume
+    };
+
+    /// The one bounded cycle loop, behind run_cycles, fuzz::run_bounded and
+    /// the gang lockstep lanes. Before every event it checks, in order: stop
+    /// request, quiescence or deadline, event budget, window. `lag` is the
+    /// first SB not yet at the goal (start at 0); cycle counts only grow, so
+    /// one laggard is watched at a time and a resumed call continues from
+    /// it. Requires start().
+    RunEnd advance(const RunGoal& goal, std::size_t& lag,
+                   std::uint64_t window = ~0ull);
+
     /// Run to an absolute simulated time.
     void run_until(sim::Time t) { sched_.run_until(t); }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -362,6 +363,106 @@ TEST(Scheduler, DroppedEventsReleaseTheirCallbacks) {
     s.run();
     EXPECT_EQ(s.events_dropped(), 1u);
     EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Scheduler, ThrowingCallbackReturnsItsRecord) {
+    // Callbacks run in place in their pooled record; a throw must still
+    // recycle the record (and destroy the capture), or every failed event
+    // would leak one pool slot.
+    Scheduler s;
+    const auto token = std::make_shared<int>(1);
+    s.schedule_after(1, [] {});
+    s.run();
+    const auto cap = s.pool_capacity();
+    for (int i = 0; i < 1000; ++i) {
+        s.schedule_after(1, [token] { throw std::runtime_error("boom"); });
+        EXPECT_THROW(s.step(), std::runtime_error);
+        EXPECT_TRUE(s.quiescent());
+    }
+    EXPECT_EQ(s.pool_capacity(), cap);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(s.events_executed(), 1001u);
+
+    bool ran = false;
+    s.schedule_after(1, [&ran] { ran = true; });
+    s.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(s.pool_capacity(), cap);
+}
+
+/// Copies and moves of a MoveCounter, and their values when it ran.
+struct Counts {
+    int copies = 0;
+    int moves = 0;
+    int copies_at_run = -1;
+    int moves_at_run = -1;
+};
+
+struct MoveCounter {
+    Counts* c;
+    explicit MoveCounter(Counts* counts) : c(counts) {}
+    MoveCounter(const MoveCounter& o) : c(o.c) { ++c->copies; }
+    MoveCounter(MoveCounter&& o) noexcept : c(o.c) { ++c->moves; }
+    void operator()() const {
+        c->copies_at_run = c->copies;
+        c->moves_at_run = c->moves;
+    }
+};
+
+TEST(Scheduler, CallbacksAreBuiltInPlaceAndNeverRelocated) {
+    // schedule_at constructs the callable directly in its event record and
+    // step runs it there: an lvalue is copied once and never moved, an
+    // rvalue is moved once (its construction in the record) and no more.
+    static_assert(Scheduler::Callback::fits_inline<MoveCounter>());
+    Scheduler s;
+    Counts lv;
+    const MoveCounter lvalue(&lv);
+    s.schedule_at(1, Priority::kDefault, lvalue);
+    s.run();
+    EXPECT_EQ(lv.copies_at_run, 1);
+    EXPECT_EQ(lv.moves_at_run, 0);
+
+    Counts rv;
+    s.schedule_at(2, Priority::kDefault, EventTag{&s, "counter"},
+                  MoveCounter(&rv));
+    s.run();
+    EXPECT_EQ(rv.copies_at_run, 0);
+    EXPECT_EQ(rv.moves_at_run, 1);
+}
+
+TEST(Scheduler, StoredCallbacksAreMovedInWhole) {
+    // A prebuilt Callback is moved into the record as it is, not wrapped in
+    // a second SmallFn: one relocation, then it runs in place.
+    Scheduler s;
+    Counts c;
+    Scheduler::Callback stored = MoveCounter(&c);
+    c.moves = 0;
+    s.schedule_at(1, Priority::kDefault, std::move(stored));
+    EXPECT_FALSE(stored);  // NOLINT(bugprone-use-after-move)
+    s.run();
+    EXPECT_EQ(c.copies_at_run, 0);
+    EXPECT_EQ(c.moves_at_run, 1);
+}
+
+TEST(Scheduler, StepUntilExecutesOnlyUpToTheLimit) {
+    Scheduler s;
+    std::vector<Time> ran;
+    for (const Time t : {Time{10}, Time{20}, Time{20}, Time{30}}) {
+        s.schedule_at(t, Priority::kDefault, [&ran, &s] {
+            ran.push_back(s.now());
+        });
+    }
+    EXPECT_FALSE(s.step_until(5));
+    EXPECT_EQ(s.now(), 0u);
+    EXPECT_TRUE(s.step_until(10));
+    EXPECT_TRUE(s.step_until(20));
+    EXPECT_TRUE(s.step_until(20));
+    EXPECT_FALSE(s.step_until(25));
+    EXPECT_EQ(s.now(), 20u);
+    EXPECT_EQ(s.next_event_time(), 30u);
+    EXPECT_TRUE(s.step_until(kNever));
+    EXPECT_FALSE(s.step_until(kNever));
+    EXPECT_EQ(ran, (std::vector<Time>{10, 20, 20, 30}));
 }
 
 TEST(Rng, DeterministicFromSeedAndUnbiasedBounds) {
