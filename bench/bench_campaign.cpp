@@ -12,23 +12,30 @@
 // dominates). On a 1-core host the speedup is honestly ~1.0x; the
 // determinism checks are what must hold everywhere.
 //
-// The gang-execution grid re-times both shapes at every (jobs, gang
-// width) point — persistent lockstep lanes instead of per-case Socs —
-// and records `campaign_*_gang_*` rows carrying both axes, again with the
-// bit-identical-summary check on every point.
+// The engine runs every case on a persistent rewound lane. The
+// `campaign_*_speedup_vs_elaborate` rows time it against a bench-local
+// loop that elaborates a fresh Soc per case (the path the lane replaced),
+// and the bench exits non-zero if the two summaries differ.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "fuzz/campaign.hpp"
+#include "fuzz/case_exec.hpp"
 #include "fuzz/checkpoint.hpp"
+#include "fuzz/injector.hpp"
 #include "runner/runner.hpp"
+#include "sim/random.hpp"
 #include "sva/spec_text.hpp"
+#include "system/delay_config.hpp"
+#include "system/invariant_monitor.hpp"
+#include "system/soc.hpp"
 #include "topo/topo.hpp"
 
 namespace {
@@ -95,64 +102,94 @@ std::vector<ScalingRow> scale_campaign(const fuzz::Campaign& campaign,
     return rows;
 }
 
-/// Gang-execution grid: time the campaign at every (jobs, gang width)
-/// point, demand the summary stay bit-identical to the scalar jobs=1
-/// reference at every point, and record each point as a
-/// `campaign_<name>_gang_runs_per_sec` stats row keyed by both axes.
-/// The gang=1 column doubles as the scalar baseline for the
-/// `campaign_<name>_gang_speedup_vs_scalar` rows.
-void gang_grid(const fuzz::Campaign& campaign, const std::string& name,
-               std::uint64_t runs, std::uint64_t seed,
-               const std::vector<std::size_t>& jobs_axis,
-               const std::vector<std::size_t>& gang_axis, std::size_t warmup,
-               std::size_t samples, bench::JsonReport& report) {
-    fuzz::CampaignSummary reference;
-    double scalar_med = 0.0;
-    std::printf("%6s | %6s | %9s | %9s | %6s | %10s | %s\n", "jobs", "gang",
-                "median s", "runs/s", "cv", "vs scalar",
-                "summary vs (jobs=1, gang=1)");
-    for (const std::size_t gang : gang_axis) {
-        for (const std::size_t jobs : jobs_axis) {
-            fuzz::CampaignSummary s;
-            fuzz::CampaignControl ctl;
-            ctl.gang_width = gang;
-            const auto xs = bench::measure_seconds(warmup, samples, [&] {
-                s = campaign.run(runs, seed, {}, jobs, ctl);
-            });
-            const auto stats = bench::compute_stats(xs);
-            const double med = stats.median > 0 ? stats.median : 1e-9;
-            const bool first = gang == gang_axis.front() &&
-                               jobs == jobs_axis.front();
-            if (first) {
-                reference = s;
-                scalar_med = med;
-            }
-            const bool identical = s == reference;
-            std::printf(
-                "%6zu | %6zu | %9.3f | %9.1f | %5.1f%% | %9.2fx | %s\n",
-                jobs, gang, stats.median,
-                static_cast<double>(runs) / med, 100.0 * stats.cv,
-                scalar_med / med, identical ? "bit-identical" : "DIVERGED");
-            std::vector<double> rates;
-            rates.reserve(xs.size());
-            for (const double t : xs) {
-                rates.push_back(static_cast<double>(runs) /
-                                (t > 0 ? t : 1e-9));
-            }
-            report.add_gang_stats("campaign_" + name + "_gang_runs_per_sec",
-                                  bench::compute_stats(rates), "runs/s",
-                                  jobs, gang);
-            report.add_gang("campaign_" + name + "_gang_speedup_vs_scalar",
-                            scalar_med / med, "x", jobs, gang);
-            if (!identical) {
-                std::fprintf(stderr,
-                             "bench_campaign: %s summary diverged at "
-                             "jobs=%zu gang=%zu — the gang engine broke "
-                             "the determinism contract\n",
-                             name.c_str(), jobs, gang);
-                std::exit(1);
-            }
+/// Serial campaign that elaborates a fresh Soc from the perturbed spec for
+/// every case: one capture and (streaming) one checker reused across cases,
+/// then Injector, InvariantMonitor, bounded run and classification — the
+/// same draws and in-order reduction as Campaign::run at jobs = 1.
+fuzz::CampaignSummary elaborate_campaign(const fuzz::Campaign& campaign,
+                                         std::uint64_t runs,
+                                         std::uint64_t seed) {
+    const fuzz::CampaignConfig& cfg = campaign.config();
+    verify::RunCapture cap;
+    std::unique_ptr<verify::StreamingChecker> checker;
+    if (cfg.streaming) {
+        checker = std::make_unique<verify::StreamingChecker>(
+            campaign.golden_index());
+        checker->attach(cap);
+    }
+    fuzz::CampaignSummary s;
+    sim::Rng rng(seed);
+    for (std::uint64_t i = 0; i < runs; ++i) {
+        const fuzz::FuzzCase c = campaign.random_case(rng);
+        if (checker) {
+            checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
         }
+        auto perturbed = std::make_shared<const sys::SocSpec>(
+            sys::apply(campaign.spec(), c.delays));
+        const sim::Time deadline = fuzz::case_deadline(
+            fuzz::max_effective_period(*perturbed), cfg.cycles);
+        sys::Soc soc(std::move(perturbed), &cap);
+        fuzz::Injector injector(soc, c.faults);
+        sys::InvariantMonitor monitor(soc);
+        bool budget = false;
+        const bool goal = fuzz::run_bounded(soc, cfg.cycles, deadline,
+                                            cfg.max_events, budget);
+        const fuzz::RunReport r = fuzz::classify_case(
+            soc, injector.fired(), goal, budget, monitor.violations(),
+            nullptr, checker.get(), campaign.golden_index(), cap);
+        ++s.runs;
+        ++s.by_outcome[static_cast<std::size_t>(r.outcome)];
+        if (r.faults_fired > 0) ++s.runs_with_fault_fired;
+        if (r.outcome != fuzz::Outcome::kDeterministic) {
+            s.add_failure(i, c, r);
+        }
+    }
+    return s;
+}
+
+/// Engine (jobs = 1) against the per-case elaboration loop, sampled in
+/// alternating rounds so host drift hits both alike. Records
+/// `campaign_<name>_speedup_vs_elaborate` (median elaborate seconds over
+/// median engine seconds) and exits if the summaries differ.
+void engine_vs_elaborate(const fuzz::Campaign& campaign,
+                         const std::string& name, std::uint64_t runs,
+                         std::uint64_t seed, std::size_t warmup,
+                         std::size_t samples, bench::JsonReport& report) {
+    fuzz::CampaignSummary engine;
+    fuzz::CampaignSummary elaborate;
+    std::vector<double> t_engine;
+    std::vector<double> t_elab;
+    for (std::size_t i = 0; i < warmup + samples; ++i) {
+        const auto e = bench::measure_seconds(
+            0, 1, [&] { engine = campaign.run(runs, seed, {}, 1); });
+        const auto x = bench::measure_seconds(0, 1, [&] {
+            elaborate = elaborate_campaign(campaign, runs, seed);
+        });
+        if (i < warmup) continue;
+        t_engine.push_back(e[0]);
+        t_elab.push_back(x[0]);
+    }
+    const auto se = bench::compute_stats(t_engine);
+    const auto sx = bench::compute_stats(t_elab);
+    const double me = se.median > 0 ? se.median : 1e-9;
+    const double mx = sx.median > 0 ? sx.median : 1e-9;
+    const bool identical = engine == elaborate;
+    std::printf("%12s | %9s | %9s | %6s | %s\n", "path", "median s",
+                "runs/s", "cv", "summary");
+    std::printf("%12s | %9.3f | %9.1f | %5.1f%% | %s\n", "elaborate",
+                sx.median, static_cast<double>(runs) / mx, 100.0 * sx.cv,
+                "(reference)");
+    std::printf("%12s | %9.3f | %9.1f | %5.1f%% | %s (%.2fx)\n", "lane",
+                se.median, static_cast<double>(runs) / me, 100.0 * se.cv,
+                identical ? "bit-identical" : "DIVERGED", mx / me);
+    report.add("campaign_" + name + "_speedup_vs_elaborate", mx / me, "x",
+               1);
+    if (!identical) {
+        std::fprintf(stderr,
+                     "bench_campaign: %s engine summary diverged from the "
+                     "per-case elaboration loop\n",
+                     name.c_str());
+        std::exit(1);
     }
 }
 
@@ -224,15 +261,12 @@ void run_experiment() {
                    report);
     check_shards_and_resume(pair, "pair", pair_runs, seed);
 
-    // Gang grid on the setup-bound pair spec: persistent lanes replace the
-    // per-case Soc elaboration with a snapshot rewind, and the worker
-    // dispatch granularity becomes one block instead of one case — this is
-    // the regime where gang execution pays on a single CPU. Long campaign
-    // so the one-time lane construction amortizes as it does in real use.
-    const std::uint64_t pair_gang_runs = quick ? 400 : 2000;
-    bench::banner("gang execution grid (pair, fault-free)");
-    gang_grid(pair, "pair", pair_gang_runs, seed, jobs_axis, {1, 4, 16},
-              warmup, samples, report);
+    // Lane rewind against per-case elaboration on the setup-bound pair
+    // spec. Long campaign so the one-time lane construction amortizes as
+    // it does in real use.
+    bench::banner("lane engine vs per-case elaboration (pair, fault-free)");
+    engine_vs_elaborate(pair, "pair", quick ? 400 : 2000, seed, warmup,
+                        samples, report);
 
     // --- mesh64: generated 64-SB mesh (topo::generate), per-case cost
     // dominated by simulation — the regime where parallel workers matter ---
@@ -251,14 +285,9 @@ void run_experiment() {
                    samples, report);
     check_shards_and_resume(mesh, "mesh64", mesh_runs, seed);
 
-    // Gang grid on the sim-bound mesh: on one CPU the lockstep engine is
-    // honestly about break-even here (docs/PERF.md "Gang execution") —
-    // the rows exist so the determinism contract is *measured* at NoC
-    // scale and so multi-core hosts can read their actual scaling.
-    const std::uint64_t mesh_gang_runs = quick ? 16 : 96;
-    bench::banner("gang execution grid (generated mesh-64)");
-    gang_grid(mesh, "mesh64", mesh_gang_runs, seed, jobs_axis, {1, 4, 16},
-              warmup, samples, report);
+    bench::banner("lane engine vs per-case elaboration (generated mesh-64)");
+    engine_vs_elaborate(mesh, "mesh64", quick ? 16 : 96, seed, warmup,
+                        samples, report);
 
     // --- scaling proof at campaign scale (full mode only): 10^5 cases.
     // One sample — at this size the run IS its own statistics — recorded as
@@ -277,54 +306,6 @@ void run_experiment() {
         }
     }
 
-    // --- warm-up fast-forward: every case shares a nominal prefix; forking
-    // it from one snapshot removes the re-simulated prefix from each case's
-    // cost. Restore-equivalence demands the forked summary stay
-    // bit-identical to the re-simulated baseline — checked on every run. ---
-    bench::banner("campaign warm-up fast-forward (pair, warmup=60/100)");
-    fuzz::CampaignConfig wcfg;
-    wcfg.spec_name = "pair";
-    wcfg.cycles = 100;
-    wcfg.warmup_cycles = 60;
-    wcfg.warmup_fork = false;
-    const fuzz::Campaign warm_plain(wcfg);
-    wcfg.warmup_fork = true;
-    const fuzz::Campaign warm_forked(wcfg);
-
-    fuzz::CampaignSummary s_plain;
-    const auto plain_stats = bench::compute_stats(bench::measure_seconds(
-        warmup, samples,
-        [&] { s_plain = warm_plain.run(pair_runs, seed, {}, 1); }));
-    fuzz::CampaignSummary s_forked;
-    const auto fork_stats = bench::compute_stats(bench::measure_seconds(
-        warmup, samples,
-        [&] { s_forked = warm_forked.run(pair_runs, seed, {}, 1); }));
-    const bool warm_identical = s_forked == s_plain;
-    const double plain_med =
-        plain_stats.median > 0 ? plain_stats.median : 1e-9;
-    const double fork_med = fork_stats.median > 0 ? fork_stats.median : 1e-9;
-    std::printf("%10s | %9s | %9s | %8s | %s\n", "prefix", "median s",
-                "runs/s", "speedup", "summary vs re-simulated");
-    std::printf("%10s | %9.3f | %9.1f | %7.2fx | (baseline)\n", "re-sim",
-                plain_stats.median, static_cast<double>(pair_runs) / plain_med,
-                1.0);
-    std::printf("%10s | %9.3f | %9.1f | %7.2fx | %s\n", "snap-fork",
-                fork_stats.median, static_cast<double>(pair_runs) / fork_med,
-                plain_med / fork_med,
-                warm_identical ? "bit-identical" : "DIVERGED");
-    report.add("campaign_pair_warmup_resim_runs_per_sec",
-               static_cast<double>(pair_runs) / plain_med, "runs/s", 1);
-    report.add("campaign_pair_warmup_fork_runs_per_sec",
-               static_cast<double>(pair_runs) / fork_med, "runs/s", 1);
-    report.add("campaign_pair_warmup_fork_speedup", plain_med / fork_med,
-               "x", 1);
-    if (!warm_identical) {
-        std::fprintf(stderr,
-                     "bench_campaign: snapshot-forked summary diverged from "
-                     "the re-simulated baseline — restore-equivalence is "
-                     "broken\n");
-        std::exit(1);
-    }
     report.write();
 }
 

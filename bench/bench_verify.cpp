@@ -20,13 +20,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "baselines/baseline_soc.hpp"
 #include "bench_util.hpp"
 #include "system/delay_config.hpp"
+#include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "system/warm_runner.hpp"
 #include "verify/determinism.hpp"
 
 namespace {
@@ -72,6 +73,18 @@ void require_identical(const verify::SweepResult& a,
     std::exit(1);
 }
 
+/// The LiveRunner shape e2ebench's sweep workload uses: elaborate the
+/// perturbed spec over the harness's capture and run 100 cycles.
+Harness::LiveRunner live_runner(const sys::SocSpec& nominal) {
+    auto spec = std::make_shared<const sys::SocSpec>(nominal);
+    return [spec](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
+        sys::Soc soc(std::make_shared<const sys::SocSpec>(
+                         sys::apply(*spec, cfg)),
+                     &cap);
+        soc.run_cycles(100, sim::ms(1));
+    };
+}
+
 double rate(std::size_t runs, double secs) {
     return static_cast<double>(runs) / (secs > 0 ? secs : 1e-9);
 }
@@ -84,17 +97,11 @@ void run_experiment() {
     bench::banner("streaming verification — deterministic-heavy (triangle)");
     {
         const auto spec = sys::make_named_spec("triangle");
-        const sys::WarmRunner runner(spec, 100, sim::ms(1));
-        const auto live = [&runner](const sys::DelayConfig& cfg,
-                                    verify::RunCapture& cap) {
-            runner.run(cfg, cap);
-        };
+        const Harness::LiveRunner live = live_runner(spec);
         const auto ps = grid(spec, runs);
 
-        Harness stream{Harness::LiveRunner(live),
-                       sys::DelayConfig::nominal(spec), 100};
-        Harness batch{Harness::LiveRunner(live),
-                      sys::DelayConfig::nominal(spec), 100};
+        Harness stream{live, sys::DelayConfig::nominal(spec), 100};
+        Harness batch{live, sys::DelayConfig::nominal(spec), 100};
         batch.set_streaming(false);
 
         verify::SweepResult rs, rb;
@@ -181,11 +188,7 @@ void run_experiment() {
 
 void BM_SweepTriangle(benchmark::State& state) {
     const auto spec = sys::make_named_spec("triangle");
-    const sys::WarmRunner runner(spec, 100, sim::ms(1));
-    Harness h{Harness::LiveRunner(
-                  [&runner](const sys::DelayConfig& cfg,
-                            verify::RunCapture& cap) { runner.run(cfg, cap); }),
-              sys::DelayConfig::nominal(spec), 100};
+    Harness h{live_runner(spec), sys::DelayConfig::nominal(spec), 100};
     h.set_streaming(state.range(0) != 0);
     const auto ps = grid(spec, 8);
     h.capture_nominal();

@@ -7,7 +7,6 @@
 
 #include "fuzz/case_exec.hpp"
 #include "fuzz/checkpoint.hpp"
-#include "fuzz/gang_runner.hpp"
 #include "fuzz/injector.hpp"
 #include "runner/runner.hpp"
 #include "system/delay_config.hpp"
@@ -67,48 +66,38 @@ Campaign::Campaign(CampaignConfig cfg, sys::SocSpec spec)
             throw std::invalid_argument(
                 "Campaign: warmup_cycles must be < cycles");
         }
-        if (cfg_.warmup_fork) {
-            // Shared prefix: nominal delays, no faults, snapshotted once at
-            // a slot boundary. The golden run above proved the nominal spec
-            // reaches cfg_.cycles, so this shorter leg cannot fail.
-            sys::Soc warm(prog_->spec_ptr());
-            run_bounded(warm, cfg_.warmup_cycles, deadline, cfg_.max_events,
-                        budget_expired);
-            warm.settle();
-            prefix_ = warm.save_snapshot();
-            prefix_plan_ = snap::RewindPlan(prefix_.bytes());
-        }
+        // Shared prefix: nominal delays, no faults, snapshotted once at a
+        // slot boundary. The golden run above proved the nominal spec
+        // reaches cfg_.cycles, so this shorter leg cannot fail.
+        sys::Soc warm(prog_->spec_ptr());
+        run_bounded(warm, cfg_.warmup_cycles, deadline, cfg_.max_events,
+                    budget_expired);
+        warm.settle();
+        prefix_ = warm.save_snapshot();
+        prefix_plan_ = snap::RewindPlan(prefix_.bytes());
     }
 }
 
-CaseRunner::CaseRunner(const Campaign& campaign) : campaign_(&campaign) {
-    if (campaign.config().streaming) {
-        // One checker for the worker's lifetime: the per-SB slot table and
-        // digest state reset per run (RunCapture::begin_run), but the
-        // golden binding and the attachment are paid once. Early exit is
-        // decided per case in run().
-        checker_ = std::make_unique<verify::StreamingChecker>(
-            campaign.golden_index());
-        checker_->attach(cap_);
-    }
+namespace {
+
+gang::Lane::Options lane_options(const Campaign& campaign) {
+    gang::Lane::Options opt;
+    opt.golden =
+        campaign.config().streaming ? &campaign.golden_index() : nullptr;
+    opt.monitor = true;
+    return opt;
 }
+
+}  // namespace
+
+CaseRunner::CaseRunner(const Campaign& campaign)
+    : campaign_(&campaign),
+      lane_(campaign.program(), lane_options(campaign)) {}
 
 RunReport CaseRunner::run(const FuzzCase& c) {
     const Campaign& campaign = *campaign_;
     const CampaignConfig& cfg = campaign.config();
-    // One spec copy per case (the perturbation), shared with the Soc by
-    // pointer — the nominal program spec itself is never copied.
-    auto perturbed = std::make_shared<const sys::SocSpec>(
-        sys::apply(campaign.spec(), c.delays));
-    const sim::Time deadline =
-        case_deadline(max_effective_period(*perturbed), cfg.cycles);
-
-    // The capture is reused across cases, backed by this worker thread's
-    // arena. In streaming mode the checker stays subscribed across runs
-    // (the Soc ctor's begin_run keeps the attachment), so even the restored
-    // warm-up prefix is checked online as it is replayed.
-    verify::RunCapture& cap = cap_;
-    verify::StreamingChecker* checker = checker_.get();
+    verify::StreamingChecker* checker = lane_.checker();
     if (checker != nullptr) {
         // Early exit is sound only where divergence is the final word: a
         // faulted run must complete, because a later deadlock or invariant
@@ -117,44 +106,30 @@ RunReport CaseRunner::run(const FuzzCase& c) {
         // a fault-free campaign config still carries faults.
         checker->set_early_exit(cfg.classes.empty() && c.faults.empty());
     }
-
-    std::unique_ptr<sys::Soc> soc_owner;
-    std::unique_ptr<Injector> injector_owner;
-    std::unique_ptr<sys::InvariantMonitor> monitor_owner;
+    // The rewind stands in for elaborating a fresh Soc (or forking the
+    // warm-up prefix into one); the attached checker re-derives its state
+    // from the rewound trace prefix.
     if (cfg.warmup_cycles == 0) {
-        soc_owner = std::make_unique<sys::Soc>(std::move(perturbed), &cap);
-        injector_owner = std::make_unique<Injector>(*soc_owner, c.faults);
-        monitor_owner = std::make_unique<sys::InvariantMonitor>(*soc_owner);
+        lane_.rewind();
     } else {
-        // Warm-up path: nominal prefix (forked from the shared snapshot or
-        // re-simulated), then the case delta applied live. Both prefix
-        // variants land in the identical state — restore-equivalence — so
-        // the continuation, and therefore the report, is bit-identical.
-        soc_owner =
-            std::make_unique<sys::Soc>(campaign.program()->spec_ptr(), &cap);
-        if (cfg.warmup_fork) {
-            soc_owner->restore_snapshot(campaign.warmup_prefix(),
-                                        campaign.warmup_prefix_plan());
-        } else {
-            bool warm_budget = false;
-            run_bounded(*soc_owner, cfg.warmup_cycles, deadline,
-                        cfg.max_events, warm_budget);
-            soc_owner->settle();
-        }
-        injector_owner = std::make_unique<Injector>(*soc_owner, c.faults);
-        monitor_owner = std::make_unique<sys::InvariantMonitor>(*soc_owner);
-        sys::apply_live(*soc_owner, c.delays);
+        lane_.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
     }
-    sys::Soc& soc = *soc_owner;
-    Injector& injector = *injector_owner;
-    sys::InvariantMonitor& monitor = *monitor_owner;
+    sys::Soc& soc = lane_.soc();
+    Injector injector(soc, c.faults);
+    // Ring hop delays are not snapshot state, so the previous case's
+    // perturbation survives the rewind; apply_live sets every delay
+    // dimension to this case's point.
+    sys::apply_live(soc, c.delays);
+    const sim::Time deadline = case_deadline(
+        perturbed_max_effective_period(campaign.spec(), c.delays),
+        cfg.cycles);
 
     bool budget_expired = false;
     const bool goal = run_bounded(soc, cfg.cycles, deadline, cfg.max_events,
                                   budget_expired);
     return classify_case(soc, injector.fired(), goal, budget_expired,
-                         monitor.violations(), nullptr, checker,
-                         campaign.golden_index(), cap);
+                         lane_.monitor()->violations(), nullptr, checker,
+                         campaign.golden_index(), lane_.capture());
 }
 
 RunReport Campaign::run_case(const FuzzCase& c) const {
@@ -329,64 +304,34 @@ CampaignSummary Campaign::run(
         ctl.checkpoint_every != 0 ? ctl.checkpoint_every : 1024;
     std::uint64_t since_image = 0;
 
-    // Per-case reduction, shared by both engines: runs on the calling
-    // thread in strict case-index order, so counters, retained failures,
-    // the on_run observation sequence and every checkpoint image are
-    // bit-identical whatever `jobs` — or the gang width — is.
-    const auto reduce_case = [&](std::size_t k, const RunReport& r) {
-        const std::uint64_t gi = index[done + k];
-        ++s.runs;
-        ++s.by_outcome[static_cast<std::size_t>(r.outcome)];
-        if (r.faults_fired > 0) ++s.runs_with_fault_fired;
-        if (r.outcome != Outcome::kDeterministic) {
-            s.add_failure(gi, cases[done + k], r);
-        }
-        if (on_run) {
-            on_run(static_cast<std::size_t>(gi), cases[done + k], r);
-        }
-        if (checkpointing && (++since_image >= every || k + 1 == todo)) {
-            save_progress_file(CampaignProgress{key, done + k + 1, s},
-                               ctl.checkpoint_path);
-            since_image = 0;
-        }
-    };
-
-    if (ctl.gang_width > 1) {
-        // Gang engine: each work item is a block of up to W consecutive
-        // shard-local cases run in lockstep on one worker's W persistent
-        // lanes (fuzz::GangRunner). Blocks reduce in order and unpack to
-        // the same per-case sequence, and the gang width is deliberately
-        // NOT part of the campaign key — a checkpoint written by either
-        // engine at any width resumes under the other.
-        const std::size_t w = ctl.gang_width;
-        const std::size_t blocks =
-            (static_cast<std::size_t>(todo) + w - 1) / w;
-        runner::sweep_ctx(
-            blocks, jobs, [this, w] { return GangRunner(*this, w); },
-            [&](GangRunner& g, std::size_t b) {
-                const std::size_t lo = b * w;
-                const std::size_t hi =
-                    std::min<std::size_t>(lo + w, static_cast<std::size_t>(todo));
-                return g.run_block(&cases[done + lo], hi - lo);
-            },
-            [&](std::size_t b, std::vector<RunReport>&& rs) {
-                for (std::size_t j = 0; j < rs.size(); ++j) {
-                    reduce_case(b * w + j, rs[j]);
-                }
-            });
-        return s;
-    }
-
-    // Scalar engine: each work item elaborates, injects, and runs its own
-    // private Soc (with its own Scheduler) through its worker's reusable
-    // CaseRunner; the golden index is shared read-only.
+    // Per-case reduction on the calling thread in strict case-index order,
+    // so counters, retained failures, the on_run observation sequence and
+    // every checkpoint image are bit-identical whatever `jobs` is. Each
+    // worker runs its cases on its own CaseRunner lane; the program and the
+    // golden index are shared read-only.
     runner::sweep_ctx(
         static_cast<std::size_t>(todo), jobs,
         [this] { return CaseRunner(*this); },
         [&](CaseRunner& runner, std::size_t k) {
             return runner.run(cases[done + k]);
         },
-        [&](std::size_t k, RunReport&& r) { reduce_case(k, r); });
+        [&](std::size_t k, RunReport&& r) {
+            const std::uint64_t gi = index[done + k];
+            ++s.runs;
+            ++s.by_outcome[static_cast<std::size_t>(r.outcome)];
+            if (r.faults_fired > 0) ++s.runs_with_fault_fired;
+            if (r.outcome != Outcome::kDeterministic) {
+                s.add_failure(gi, cases[done + k], r);
+            }
+            if (on_run) {
+                on_run(static_cast<std::size_t>(gi), cases[done + k], r);
+            }
+            if (checkpointing && (++since_image >= every || k + 1 == todo)) {
+                save_progress_file(CampaignProgress{key, done + k + 1, s},
+                                   ctl.checkpoint_path);
+                since_image = 0;
+            }
+        });
     return s;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fuzz/fault.hpp"
+#include "gang/lane.hpp"
 #include "gang/program.hpp"
 #include "runner/runner.hpp"
 #include "sim/random.hpp"
@@ -67,13 +68,11 @@ struct CampaignConfig {
     /// Shared warm-up prefix (local cycles, < `cycles`; 0 = off): every case
     /// runs the first `warmup_cycles` at nominal delays with no faults, then
     /// the case's delta is applied live (sys::apply_live + clamped fault
-    /// times) and the run continues to `cycles`.
+    /// times) and the run continues to `cycles`. The prefix is simulated
+    /// once at construction and snapshotted; each case rewinds its lane to
+    /// that snapshot instead of re-simulating it (restore-equivalence makes
+    /// the two bit-identical).
     std::uint64_t warmup_cycles = 0;
-    /// With warm-up on: fork each case from one snapshot of the shared
-    /// prefix (taken once at construction) instead of re-simulating it.
-    /// Restore-equivalence makes the two paths bit-identical; the flag
-    /// exists so tests and benches can run the non-forked baseline.
-    bool warmup_fork = true;
     /// Streaming verification (default): each run's events are checked
     /// online against the golden index by a verify::StreamingChecker, so a
     /// deterministic run finishes with an O(#SBs) verdict and — in
@@ -165,28 +164,22 @@ struct CampaignControl {
     /// by the resume tests and CLI fixtures. The cut happens at a reduction
     /// boundary, so the written checkpoint is always consistent.
     std::uint64_t stop_after = 0;
-    /// Lanes per worker for the gang execution engine (st_fuzz --gang).
-    /// <= 1 runs the scalar CaseRunner path; W > 1 runs blocks of W
-    /// consecutive cases in lockstep on W persistent lanes per worker
-    /// (fuzz::GangRunner), with bit-identical summaries, failure lists,
-    /// checkpoints and on_run sequences. Composes freely with `jobs`,
-    /// `shard`, and checkpoint/resume; not part of the campaign key, so
-    /// checkpoints are portable between engines and widths.
-    std::size_t gang_width = 1;
 };
 
 class Campaign;
 
-/// Reusable per-worker execution context: one trace capture and (in
-/// streaming mode) one golden checker, recycled across every case the
-/// worker runs. Constructing these per case was measurable campaign
-/// overhead — the checker re-derived its per-SB slot table and the capture
-/// re-registered every stream; reuse keeps both warm, alongside the worker
-/// thread's trace arena and scheduler slab pool. Construct on the thread
-/// that will call run() (the capture pins that thread's arena).
+/// The campaign engine's per-worker execution context: one persistent
+/// gang::Lane built from the campaign's shared Program (monitor on, and a
+/// streaming checker when `streaming` is set), reused for every case the
+/// worker runs. A case rewinds the lane to the pristine image (or the
+/// shared warm-up prefix), binds an Injector, applies the case's delays
+/// live, runs bounded and classifies. Restore-equivalence makes each report
+/// bit-identical to elaborating the perturbed spec afresh. Construct on the
+/// thread that will call run() (the lane's capture pins that thread's
+/// arena), which runner::sweep_ctx's make_ctx contract guarantees.
 ///
-/// `Campaign::run` creates one per engine worker via runner::sweep_ctx;
-/// run_case() is the convenience wrapper that builds a throwaway one.
+/// Campaign::run creates one per engine worker; run_case, shrink and
+/// replay use the same path.
 class CaseRunner {
   public:
     explicit CaseRunner(const Campaign& campaign);
@@ -194,14 +187,16 @@ class CaseRunner {
     CaseRunner(const CaseRunner&) = delete;
     CaseRunner& operator=(const CaseRunner&) = delete;
 
-    /// Elaborate, inject, run bounded, classify — bit-identical to
-    /// Campaign::run_case for the same case.
+    /// Rewind, inject, run bounded, classify. Deterministic per case and
+    /// independent of what the lane ran before.
     RunReport run(const FuzzCase& c);
+
+    /// The persistent lane every case of this runner executes on.
+    gang::Lane& lane() { return lane_; }
 
   private:
     const Campaign* campaign_;
-    verify::RunCapture cap_;
-    std::unique_ptr<verify::StreamingChecker> checker_;
+    gang::Lane lane_;
 };
 
 /// Seeded property-based campaign over the composed (delays x faults) space
@@ -220,17 +215,17 @@ class Campaign {
 
     const CampaignConfig& config() const { return cfg_; }
     const sys::SocSpec& spec() const { return prog_->spec(); }
-    /// The shared immutable program every engine of this campaign runs —
-    /// gang lanes, scalar CaseRunners, and warm-snapshot forks all hold
-    /// this one object (process-wide via the Program registry when the
-    /// spec carries a program_key).
+    /// The shared immutable program every CaseRunner lane of this campaign
+    /// runs (process-wide via the Program registry when the spec carries a
+    /// program_key).
     const std::shared_ptr<const gang::Program>& program() const {
         return prog_;
     }
     const verify::TraceSet& golden() const { return golden_; }
     const verify::GoldenIndex& golden_index() const { return golden_index_; }
 
-    /// Elaborate, inject, run bounded, classify. Deterministic per case.
+    /// One case on a throwaway CaseRunner. Deterministic per case; loops
+    /// over many cases should hold one CaseRunner instead.
     RunReport run_case(const FuzzCase& c) const;
 
     /// Draw one random case: every delay dimension sampled from the paper's
@@ -270,8 +265,8 @@ class Campaign {
     /// Snapshot of the shared warm-up prefix (empty when warmup_cycles == 0).
     const snap::Snapshot& warmup_prefix() const { return prefix_; }
     /// Pre-validated parse plan for warmup_prefix() (nullptr when off):
-    /// every forked case restores the same prefix bytes, so they share one
-    /// plan instead of re-parsing the framing per case.
+    /// every case rewinds to the same prefix bytes, so they share one plan
+    /// instead of re-parsing the framing per case.
     const snap::RewindPlan* warmup_prefix_plan() const {
         return prefix_plan_.built() ? &prefix_plan_ : nullptr;
     }

@@ -35,11 +35,8 @@ bool run_bounded(sys::Soc& soc, std::uint64_t n_cycles, sim::Time deadline,
     soc.start();
     // A stop request (the streaming checker classified the run divergent)
     // ends the run with at most the event in flight past the mismatch.
-    std::size_t lag = 0;
-    const auto end = soc.advance(
-        sys::Soc::RunGoal{n_cycles, deadline, max_events,
-                          soc.scheduler().events_executed()},
-        lag);
+    const auto end =
+        soc.advance(sys::Soc::RunGoal{n_cycles, deadline, max_events});
     budget_expired = end == sys::Soc::RunEnd::kBudget;
     return end == sys::Soc::RunEnd::kGoal;
 }

@@ -11,11 +11,11 @@
 
 namespace st::fuzz {
 
-/// Shared case-execution core of the scalar CaseRunner and the gang engine
-/// (fuzz::GangRunner). Both paths must produce bit-identical RunReports, so
-/// the bounded run loop, the deadline formula, and the outcome-precedence
-/// classification live here once — equivalence by shared code, verified by
-/// the differential suite in tests/test_gang.cpp.
+/// The case-execution core of fuzz::CaseRunner: the bounded run loop, the
+/// deadline formula, and the outcome-precedence classification. The
+/// differential suite (tests/test_gang.cpp) holds CaseRunner's reports to
+/// the fresh-elaboration oracle in tests/case_oracle.cpp, which shares
+/// these functions.
 
 /// Slowest effective clock period of `spec` (base period x divider).
 sim::Time max_effective_period(const sys::SocSpec& spec);
@@ -28,7 +28,7 @@ inline sim::Time case_deadline(sim::Time max_period, std::uint64_t cycles) {
 }
 
 /// max_effective_period(sys::apply(nominal, delays)) without materializing
-/// the perturbed spec — the gang engine never elaborates one.
+/// the perturbed spec — a CaseRunner lane never elaborates one.
 sim::Time perturbed_max_effective_period(const sys::SocSpec& nominal,
                                          const sys::DelayConfig& delays);
 
@@ -45,10 +45,10 @@ std::uint64_t total_protocol_errors(sys::Soc& soc);
 /// invariant > deadlock > divergent). Reads the terminal simulation state
 /// (event counter, protocol errors, stop flag, deadlock witness) off `soc`.
 ///
-/// `violations_tail` is non-null only for a peeled gang lane, whose monitor
-/// log is split across the lane (prefix) and the scalar finisher (suffix);
-/// an uninterrupted run's log is the concatenation, so "any violation" and
-/// "first violation" read across both in order.
+/// `violations_tail`, when non-null, is read as the continuation of
+/// `violations` ("any violation" and "first violation" read across both in
+/// order). Every caller in src/ passes nullptr; the parameter is kept
+/// because the e2ebench/ replicas call this signature.
 RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
                         bool budget_expired,
                         const std::vector<std::string>& violations,

@@ -134,7 +134,6 @@ CampaignKey make_campaign_key(const CampaignConfig& cfg, std::uint64_t seed,
     k.classes = cfg.classes;
     k.max_faults = cfg.max_faults;
     k.warmup_cycles = cfg.warmup_cycles;
-    k.warmup_fork = cfg.warmup_fork;
     k.streaming = cfg.streaming;
     k.shard = shard;
     return k;
@@ -156,7 +155,9 @@ snap::Snapshot encode_progress(const CampaignProgress& p) {
     }
     w.u64(p.key.max_faults);
     w.u64(p.key.warmup_cycles);
-    w.b(p.key.warmup_fork);
+    // Retired warm-up-fork flag: always 1 so images stay byte-identical
+    // to those of builds that had a re-simulated-prefix mode.
+    w.b(true);
     w.b(p.key.streaming);
     w.u64(p.key.shard.index);
     w.u64(p.key.shard.count);
@@ -203,7 +204,9 @@ CampaignProgress decode_progress(const snap::Snapshot& snap) {
     for (auto& cls : p.key.classes) cls = static_cast<FaultClass>(r.u8());
     p.key.max_faults = r.u64();
     p.key.warmup_cycles = r.u64();
-    p.key.warmup_fork = r.b();
+    // Retired warm-up-fork flag: forked and re-simulated prefixes give
+    // bit-identical results, so an image written with either resumes.
+    r.b();
     p.key.streaming = r.b();
     p.key.shard.index = r.u64();
     p.key.shard.count = r.u64();

@@ -24,7 +24,6 @@ struct CampaignKey {
     std::vector<FaultClass> classes;
     std::uint64_t max_faults = 0;
     std::uint64_t warmup_cycles = 0;
-    bool warmup_fork = true;
     bool streaming = true;
     runner::Shard shard;
 

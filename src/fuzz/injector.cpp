@@ -26,8 +26,7 @@ core::TokenNode& Injector::ring_endpoint(sys::Soc& soc,
     return soc.ring_node(f.unit, f.side == 0 ? r.sb_a : r.sb_b);
 }
 
-Injector::Injector(sys::Soc& soc, const std::vector<Fault>& faults,
-                   bool defer_spurious)
+Injector::Injector(sys::Soc& soc, const std::vector<Fault>& faults)
     : sched_(&soc.scheduler()), soc_(&soc) {
     std::map<core::TokenNode*, std::vector<Trigger>> dup_groups;
     std::map<std::size_t, std::vector<Trigger>> fifo_groups;
@@ -50,24 +49,18 @@ Injector::Injector(sys::Soc& soc, const std::vector<Fault>& faults,
                 dup_groups[&ring_endpoint(soc, f)].push_back(Trigger{f});
                 break;
             case FaultClass::kSpuriousToken: {
-                auto& node = ring_endpoint(soc, f);
+                core::TokenNode* node = &ring_endpoint(soc, f);
                 // Clamp to now so fault lists drawn against time 0 stay
                 // legal when injection begins after a warm-up prefix.
                 const sim::Time at =
                     std::max<sim::Time>(f.value, soc.scheduler().now());
-                const std::size_t idx = spurious_.size();
-                spurious_.push_back(Spurious{&node, at, 0, false});
-                if (!defer_spurious) {
-                    // Untagged on purpose: the spurious transition must not
-                    // be droppable by a wire-drop fault installed below.
-                    spurious_[idx].seq = soc.scheduler().schedule_at(
-                        at, sim::Priority::kDefault, [this, idx] {
-                            auto& s = spurious_[idx];
-                            s.fired = true;
-                            ++fired_;
-                            s.node->token_arrive();
-                        });
-                }
+                // Untagged on purpose: the spurious transition must not be
+                // droppable by a wire-drop fault installed below.
+                soc.scheduler().schedule_at(
+                    at, sim::Priority::kDefault, [this, node] {
+                        ++fired_;
+                        node->token_arrive();
+                    });
                 break;
             }
             case FaultClass::kFifoStall:
@@ -176,81 +169,6 @@ void Injector::detach() {
         soc_->wrapper(sb).clock().set_restart_fault({});
     }
     soc_ = nullptr;
-}
-
-void Injector::save_state(snap::StateWriter& w) const {
-    const auto put_group = [&w](const std::vector<Trigger>& g) {
-        w.u64(g.size());
-        for (const auto& t : g) {
-            w.u64(t.seen);
-            w.b(t.done);
-        }
-    };
-    w.begin("inject");
-    w.u64(fired_);
-    put_group(wire_drops_);
-    w.u64(node_triggers_.size());
-    for (const auto& g : node_triggers_) put_group(g);
-    w.u64(fifo_triggers_.size());
-    for (const auto& g : fifo_triggers_) put_group(g);
-    w.u64(clock_triggers_.size());
-    for (const auto& g : clock_triggers_) put_group(g);
-    w.u64(spurious_.size());
-    for (const auto& s : spurious_) {
-        w.b(s.fired);
-        w.u64(s.t);
-        w.u64(s.seq);
-    }
-    w.end();
-}
-
-void Injector::restore_state(snap::StateReader& r) {
-    const auto get_group = [&r](std::vector<Trigger>& g) {
-        const std::uint64_t n = r.u64();
-        if (n != g.size()) {
-            throw snap::SnapshotError(
-                "injector fault list does not match the snapshot");
-        }
-        for (auto& t : g) {
-            t.seen = r.u64();
-            t.done = r.b();
-        }
-    };
-    const auto get_groups = [&](std::vector<std::vector<Trigger>>& gs) {
-        const std::uint64_t n = r.u64();
-        if (n != gs.size()) {
-            throw snap::SnapshotError(
-                "injector fault list does not match the snapshot");
-        }
-        for (auto& g : gs) get_group(g);
-    };
-    r.enter("inject");
-    fired_ = r.u64();
-    get_group(wire_drops_);
-    get_groups(node_triggers_);
-    get_groups(fifo_triggers_);
-    get_groups(clock_triggers_);
-    const std::uint64_t n = r.u64();
-    if (n != spurious_.size()) {
-        throw snap::SnapshotError(
-            "injector fault list does not match the snapshot");
-    }
-    for (std::size_t idx = 0; idx < spurious_.size(); ++idx) {
-        auto& s = spurious_[idx];
-        s.fired = r.b();
-        s.t = r.u64();
-        s.seq = r.u64();
-        if (!s.fired) {
-            sched_->rearm(s.t, sim::Priority::kDefault, sim::EventTag{},
-                          s.seq, [this, idx] {
-                              auto& sp = spurious_[idx];
-                              sp.fired = true;
-                              ++fired_;
-                              sp.node->token_arrive();
-                          });
-        }
-    }
-    r.leave();
 }
 
 }  // namespace st::fuzz

@@ -18,14 +18,10 @@ namespace st::fuzz {
 /// one spec cannot be silently misapplied to another.
 class Injector {
   public:
-    /// With `defer_spurious` the spurious-token events are NOT scheduled at
-    /// construction — the injector is being built for a Soc about to be
-    /// restored from a snapshot, and restore_state re-arms the pending ones
-    /// in their original slots instead. Spurious fire times are clamped to
-    /// `max(value, now)` so a fault list drawn against time 0 stays legal
-    /// when injection starts after a warm-up prefix.
-    Injector(sys::Soc& soc, const std::vector<Fault>& faults,
-             bool defer_spurious = false);
+    /// Spurious fire times are clamped to `max(value, now)` so a fault list
+    /// drawn against time 0 stays legal when injection starts after a
+    /// warm-up prefix.
+    Injector(sys::Soc& soc, const std::vector<Fault>& faults);
 
     Injector(const Injector&) = delete;
     Injector& operator=(const Injector&) = delete;
@@ -36,22 +32,13 @@ class Injector {
     /// node pass faults, FIFO stage faults, clock restart faults), so a
     /// reused Soc never carries a previous case's fault plan into the next
     /// run. Idempotent; the destructor calls it. Pending spurious-token
-    /// events are NOT descheduled — a gang lane's reset_from_image drops
+    /// events are NOT descheduled — a lane's reset_from_image drops
     /// them with the rest of the pending set, and a Soc torn down with the
     /// Injector never fires them.
     void detach();
 
     /// Number of fault occurrences that actually fired during the run.
     std::uint64_t fired() const { return fired_; }
-
-    /// Trigger counters + pending spurious events, as an extra chunk inside
-    /// a Soc snapshot (pass via Soc::save_snapshot's extra hook).
-    void save_state(snap::StateWriter& w) const;
-
-    /// Counterpart: must run inside Soc::restore_snapshot's extra hook (the
-    /// scheduler's restore window), on an Injector constructed with
-    /// `defer_spurious = true` from the identical fault list.
-    void restore_state(snap::StateReader& r);
 
   private:
     /// Occurrence-count trigger shared by every hook kind.
@@ -64,18 +51,9 @@ class Injector {
 
     core::TokenNode& ring_endpoint(sys::Soc& soc, const Fault& f) const;
 
-    /// One scheduled (or deferred) spurious-token transition.
-    struct Spurious {
-        core::TokenNode* node = nullptr;
-        sim::Time t = 0;
-        std::uint64_t seq = 0;
-        bool fired = false;
-    };
-
     sim::Scheduler* sched_ = nullptr;
     sys::Soc* soc_ = nullptr;  ///< null once detached
     std::uint64_t fired_ = 0;
-    std::vector<Spurious> spurious_;
     // Stable storage: hook lambdas capture `this` and index into these.
     std::vector<Trigger> wire_drops_;
     std::vector<std::vector<Trigger>> node_triggers_;   // per faulted node

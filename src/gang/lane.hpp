@@ -11,10 +11,10 @@
 
 namespace st::gang {
 
-/// One persistent lane of the gang engine: a Soc elaborated once from the
-/// *nominal* spec, plus the per-run companions a scalar case would construct
-/// fresh each time — the trace capture, an (optional) attached streaming
-/// checker, and an (optional) invariant monitor.
+/// One persistent lane of the campaign engine: a Soc elaborated once from
+/// the *nominal* spec, plus the per-run companions a freshly elaborated
+/// case would construct each time — the trace capture, an (optional)
+/// attached streaming checker, and an (optional) invariant monitor.
 ///
 /// The program/state decomposition: the gang::Program — spec, pristine
 /// image, and its pre-validated rewind plan — is process-wide and shared by
@@ -25,13 +25,16 @@ namespace st::gang {
 /// `pristine()` — the Program's image of the freshly started Soc, restored
 /// through the plan so a rewind re-parses no framing — or any boundary
 /// snapshot from an identically elaborated Soc (a campaign's shared
-/// warm-up prefix, a peeled lane's mid-run handoff image).
+/// warm-up prefix).
 ///
-/// Per-lane delay registers (clock periods, FIFO stage delays, ring hop
-/// delays) are nominal after every rewind; callers perturb them with
-/// `sys::apply_live`, exactly as the snapshot-forking warm-up path always
-/// has. Restore-equivalence is what makes a rewound lane bit-identical to a
-/// freshly elaborated scalar Soc (docs/PERF.md "Gang execution").
+/// Delay registers are NOT reset by a rewind. Clock periods and FIFO stage
+/// delays ride in the image, but ring hop delays are live registers outside
+/// it, so a rewound lane keeps the previous case's ring perturbation (after
+/// a 200% case on pair, ring(0).hop_delay(0) still reads 1800 ps, not the
+/// nominal 900). Callers must call `sys::apply_live` after every rewind —
+/// with the nominal DelayConfig for a nominal run — as fuzz::CaseRunner
+/// does. Rewind + apply_live is then bit-identical to elaborating the
+/// perturbed spec afresh (restore-equivalence; docs/PERF.md).
 ///
 /// Construct on the thread that will run the lane (the capture pins that
 /// thread's trace arena), which `runner::sweep_ctx`'s make_ctx contract
@@ -42,13 +45,12 @@ class Lane {
         /// Attach a verify::StreamingChecker over this golden index
         /// (nullptr: no online checking — the batch/offline mode).
         const verify::GoldenIndex* golden = nullptr;
-        /// Attach a sys::InvariantMonitor (campaign lanes: yes; pure
-        /// determinism-sweep lanes: no, matching the scalar runners).
+        /// Attach a sys::InvariantMonitor (campaign lanes: yes).
         bool monitor = false;
     };
 
-    /// Share `program` (the normal path: every lane of a gang hands in the
-    /// same Program, usually via Program::get).
+    /// Share `program` (the normal path: every lane on one spec hands in
+    /// the same Program, usually via Program::get).
     Lane(std::shared_ptr<const Program> program, const Options& opt);
     /// Convenience: resolve the program through the registry first.
     Lane(const sys::SocSpec& nominal_spec, const Options& opt)
@@ -57,23 +59,18 @@ class Lane {
     Lane(const Lane&) = delete;
     Lane& operator=(const Lane&) = delete;
 
-    /// Rewind to the freshly-started nominal state. After this the lane is
+    /// Rewind to the freshly-started state (zero events executed). Apart
+    /// from the ring hop delays (see above) the lane is then
     /// indistinguishable from a just-elaborated, just-started Soc of the
-    /// nominal spec (with zero events executed). Uses the program's rewind
-    /// plan, so no snapshot framing is re-parsed.
+    /// nominal spec. Uses the program's rewind plan, so no snapshot framing
+    /// is re-parsed.
     void rewind();
 
-    /// Rewind to an explicit boundary image (shared warm-up prefix, peel
-    /// handoff). `extra` restores snapshot chunks beyond the Soc's own —
-    /// e.g. a fuzz::Injector's trigger counters — inside the scheduler's
-    /// restore window. The monitor (if any) is re-armed from the restored
-    /// phases; a previously attached checker re-derives its verdict state
-    /// from the replayed trace prefix. Pass the image's RewindPlan when the
-    /// caller rewinds to it repeatedly (a campaign's warm-up prefix).
-    void rewind(const snap::Snapshot& image,
-                const sys::Soc::ExtraRestore& extra = {});
-    void rewind(const snap::Snapshot& image, const snap::RewindPlan* plan,
-                const sys::Soc::ExtraRestore& extra = {});
+    /// Rewind to an explicit boundary image (a campaign's shared warm-up
+    /// prefix) through its pre-validated plan (nullptr: strict parse). The
+    /// monitor (if any) is re-armed from the restored phases; an attached
+    /// checker re-derives its verdict state from the replayed trace prefix.
+    void rewind(const snap::Snapshot& image, const snap::RewindPlan* plan);
 
     sys::Soc& soc() { return *soc_; }
     verify::RunCapture& capture() { return cap_; }

@@ -238,8 +238,8 @@ class Scheduler {
     }
 
     /// Drop every pending event, recycling the records, and clear any stop
-    /// request. Counters (now, seq, executed, dropped) are left as-is — the
-    /// gang engine's lane reset calls this immediately before a restore,
+    /// request. Counters (now, seq, executed, dropped) are left as-is — a
+    /// gang::Lane's rewind calls this immediately before a restore,
     /// which overwrites them from the pristine image. The interceptor and
     /// race-audit configuration are wiring, not run state, and survive.
     void clear_pending();

@@ -140,18 +140,17 @@ void Soc::start() {
 
 bool Soc::run_cycles(std::uint64_t n_cycles, sim::Time deadline) {
     start();
-    std::size_t lag = 0;
-    return advance(RunGoal{n_cycles, deadline}, lag) == RunEnd::kGoal;
+    return advance(RunGoal{n_cycles, deadline}) == RunEnd::kGoal;
 }
 
-Soc::RunEnd Soc::advance(const RunGoal& goal, std::size_t& lag,
-                         std::uint64_t window) {
+Soc::RunEnd Soc::advance(const RunGoal& goal) {
     // O(1) per event: watch one laggard wrapper at a time instead of
     // re-scanning every SB before every step. Cycle counts only grow, so
     // once a wrapper meets the goal it stays met, and the run still stops
     // at exactly the event that brings the last unmet wrapper to the goal —
     // the same boundary the full-scan formulation stopped at.
-    std::uint64_t left = window;
+    const std::uint64_t budget_start = sched_.events_executed();
+    std::size_t lag = 0;
     for (;;) {
         while (lag < wrappers_.size() &&
                wrappers_[lag]->clock().cycles() >= goal.cycles) {
@@ -161,20 +160,17 @@ Soc::RunEnd Soc::advance(const RunGoal& goal, std::size_t& lag,
         const clk::StoppableClock& laggard = wrappers_[lag]->clock();
         while (laggard.cycles() < goal.cycles) {
             if (sched_.stop_requested()) return RunEnd::kStopped;
-            const bool spent =
-                sched_.events_executed() - goal.budget_start >=
-                goal.max_events;
-            if (spent || left == 0) [[unlikely]] {
-                // Quiescence and the deadline outrank the budget and the
-                // window: look at the queue front once, only here.
+            if (sched_.events_executed() - budget_start >= goal.max_events)
+                [[unlikely]] {
+                // Quiescence and the deadline outrank the budget: look at
+                // the queue front once, only here.
                 if (sched_.quiescent() ||
                     sched_.next_event_time() > goal.deadline) {
                     return RunEnd::kIdle;
                 }
-                return spent ? RunEnd::kBudget : RunEnd::kWindow;
+                return RunEnd::kBudget;
             }
             if (!sched_.step_until(goal.deadline)) return RunEnd::kIdle;
-            --left;
         }
     }
 }
@@ -202,16 +198,16 @@ core::TokenNode& Soc::multi_ring_node(std::size_t r, std::size_t sb) {
     throw std::invalid_argument("Soc::multi_ring_node: SB not on multi-ring");
 }
 
-snap::Snapshot Soc::save_snapshot(const ExtraSave& extra) const {
+snap::Snapshot Soc::save_snapshot() const {
     if (!started_) {
         throw snap::SnapshotError("Soc::save_snapshot: not started");
     }
     snap::StateWriter w;
-    write_image(w, extra, /*require_boundary=*/true);
+    write_image(w, /*require_boundary=*/true);
     return snap::Snapshot(w.take());
 }
 
-snap::Snapshot Soc::pristine_image(const ExtraSave& extra) const {
+snap::Snapshot Soc::pristine_image() const {
     if (!started_) {
         throw snap::SnapshotError("Soc::pristine_image: not started");
     }
@@ -221,12 +217,11 @@ snap::Snapshot Soc::pristine_image(const ExtraSave& extra) const {
             "save_snapshot at a slot boundary instead");
     }
     snap::StateWriter w;
-    write_image(w, extra, /*require_boundary=*/false);
+    write_image(w, /*require_boundary=*/false);
     return snap::Snapshot(w.take());
 }
 
-void Soc::write_image(snap::StateWriter& w, const ExtraSave& extra,
-                      bool require_boundary) const {
+void Soc::write_image(snap::StateWriter& w, bool require_boundary) const {
     w.begin_group("soc");
 
     // Structural fingerprint: restore validates the target Soc was
@@ -263,34 +258,12 @@ void Soc::write_image(snap::StateWriter& w, const ExtraSave& extra,
     for (const auto& r : multi_rings_) r->save_state(w);
     for (const auto& f : fifos_) f->save_state(w);
     for (const auto& p : probes_) p->save_state(w);
-    if (extra) extra(w);
 
     w.end();
 }
 
 void Soc::restore_snapshot(const snap::Snapshot& snapshot,
-                           const snap::RewindPlan* plan,
-                           const ExtraRestore& extra) {
-    if (plan == nullptr || !plan->built()) {
-        restore_snapshot(snapshot, extra);
-        return;
-    }
-    if (started_) {
-        throw snap::SnapshotError(
-            "Soc::restore_snapshot: target must be freshly constructed");
-    }
-    started_ = true;
-    for (auto& wr : wrappers_) {
-        wr->finalize();
-        probes_.push_back(
-            std::make_unique<verify::TraceProbe>(*wr, *capture_));
-    }
-    snap::StateReader r(snapshot.bytes(), *plan);
-    read_image(r, extra);
-}
-
-void Soc::restore_snapshot(const snap::Snapshot& snapshot,
-                           const ExtraRestore& extra) {
+                           const snap::RewindPlan* plan) {
     if (started_) {
         throw snap::SnapshotError(
             "Soc::restore_snapshot: target must be freshly constructed");
@@ -303,18 +276,17 @@ void Soc::restore_snapshot(const snap::Snapshot& snapshot,
         probes_.push_back(
             std::make_unique<verify::TraceProbe>(*wr, *capture_));
     }
-    snap::StateReader r(snapshot.bytes());
-    read_image(r, extra);
+    if (plan != nullptr && plan->built()) {
+        snap::StateReader r(snapshot.bytes(), *plan);
+        read_image(r);
+    } else {
+        snap::StateReader r(snapshot.bytes());
+        read_image(r);
+    }
 }
 
 void Soc::reset_from_image(const snap::Snapshot& image,
-                           const ExtraRestore& extra) {
-    reset_from_image(image, nullptr, extra);
-}
-
-void Soc::reset_from_image(const snap::Snapshot& image,
-                           const snap::RewindPlan* plan,
-                           const ExtraRestore& extra) {
+                           const snap::RewindPlan* plan) {
     if (!started_) {
         throw snap::SnapshotError("Soc::reset_from_image: not started");
     }
@@ -327,11 +299,11 @@ void Soc::reset_from_image(const snap::Snapshot& image,
         // restore: the restore walk is a pure function of the image bytes,
         // so the trusted parse revisits only spans the strict pass proved.
         snap::StateReader r(bytes, *plan);
-        read_image(r, extra);
+        read_image(r);
         return;
     }
     snap::StateReader r(bytes);
-    read_image(r, extra);
+    read_image(r);
     // Strict restore succeeded — remember the pairing if the plan really
     // describes these bytes (one digest compare, amortized over every
     // later rewind of the same image).
@@ -344,7 +316,7 @@ void Soc::reset_from_image(const snap::Snapshot& image,
     }
 }
 
-void Soc::read_image(snap::StateReader& r, const ExtraRestore& extra) {
+void Soc::read_image(snap::StateReader& r) {
     r.enter("soc");
 
     r.enter("shape");
@@ -391,7 +363,6 @@ void Soc::read_image(snap::StateReader& r, const ExtraRestore& extra) {
     for (auto& ring : multi_rings_) ring->restore_state(r);
     for (auto& f : fifos_) f->restore_state(r);
     for (auto& p : probes_) p->restore_state(r);
-    if (extra) extra(r);
     sched_.end_restore();
 
     r.leave();

@@ -58,27 +58,22 @@ class Soc {
     struct RunGoal {
         std::uint64_t cycles = 0;  ///< every SB reaches this many local cycles
         sim::Time deadline = sim::kNever;  ///< absolute simulated-time limit
-        std::uint64_t max_events = ~0ull;  ///< livelock watchdog budget
-        std::uint64_t budget_start = 0;    ///< events_executed() datum
+        /// Livelock watchdog: events this advance call may execute.
+        std::uint64_t max_events = ~0ull;
     };
 
     /// Why advance returned.
     enum class RunEnd {
-        kGoal,       ///< every SB reached the cycle goal
-        kStopped,    ///< cooperative scheduler stop request
-        kIdle,       ///< quiescent, or the next event lies past the deadline
-        kBudget,     ///< the event budget is spent
-        kWindow,     ///< `window` events executed; call again to resume
+        kGoal,     ///< every SB reached the cycle goal
+        kStopped,  ///< cooperative scheduler stop request
+        kIdle,     ///< quiescent, or the next event lies past the deadline
+        kBudget,   ///< the event budget is spent
     };
 
-    /// The one bounded cycle loop, behind run_cycles, fuzz::run_bounded and
-    /// the gang lockstep lanes. Before every event it checks, in order: stop
-    /// request, quiescence or deadline, event budget, window. `lag` is the
-    /// first SB not yet at the goal (start at 0); cycle counts only grow, so
-    /// one laggard is watched at a time and a resumed call continues from
-    /// it. Requires start().
-    RunEnd advance(const RunGoal& goal, std::size_t& lag,
-                   std::uint64_t window = ~0ull);
+    /// The one bounded cycle loop, behind run_cycles and fuzz::run_bounded.
+    /// Before every event it checks, in order: stop request, quiescence or
+    /// deadline, event budget. Requires start().
+    RunEnd advance(const RunGoal& goal);
 
     /// Run to an absolute simulated time.
     void run_until(sim::Time t) { sched_.run_until(t); }
@@ -122,18 +117,11 @@ class Soc {
     /// neutral: those events would run before anything else anyway.
     void settle() { sched_.settle(); }
 
-    /// Extension point: extra state (e.g. a fuzz::Injector's trigger
-    /// counters) saved after / restored alongside the Soc's own chunks, so
-    /// external components can participate in the same image and re-arm
-    /// their pending events inside the scheduler's restore window.
-    using ExtraSave = std::function<void(snap::StateWriter&)>;
-    using ExtraRestore = std::function<void(snap::StateReader&)>;
-
     /// Serialize the entire SoC — scheduler counters, every wrapper (clock,
     /// nodes, interfaces, kernel), rings, FIFOs (including in-flight link
     /// and ripple events), and captured I/O traces — into one image.
     /// Requires start() and a slot boundary (call settle() when unsure).
-    snap::Snapshot save_snapshot(const ExtraSave& extra = {}) const;
+    snap::Snapshot save_snapshot() const;
 
     /// FNV-1a digest of save_snapshot(): the cheap state-equality witness.
     std::uint64_t state_digest() const { return save_snapshot().digest(); }
@@ -142,47 +130,36 @@ class Soc {
     /// Must be called on a freshly constructed, never-started Soc; on return
     /// this instance continues exactly where the saved one stopped —
     /// identical event order, traces, digests. Throws snap::SnapshotError on
-    /// any structural or format mismatch.
+    /// any structural or format mismatch. `plan`, when given, is a
+    /// pre-validated parse plan built from `snapshot.bytes()` (the builder's
+    /// strict walk is the validation pass); nullptr takes the strict parse.
     void restore_snapshot(const snap::Snapshot& snapshot,
-                          const ExtraRestore& extra = {});
-
-    /// restore_snapshot through a pre-validated parse plan. Contract: `plan`
-    /// was built from `snapshot.bytes()` (the builder's strict walk is the
-    /// validation pass); nullptr falls back to the strict parse. The warm-
-    /// fork campaign path restores the same prefix image for every case —
-    /// one plan replaces per-case framing re-parses.
-    void restore_snapshot(const snap::Snapshot& snapshot,
-                          const snap::RewindPlan* plan,
-                          const ExtraRestore& extra = {});
+                          const snap::RewindPlan* plan = nullptr);
 
     /// Image of this Soc in its freshly-started state (started, nothing
-    /// executed yet): the gang engine's per-lane reset point. Unlike
+    /// executed yet): a gang::Lane's per-case reset point. Unlike
     /// save_snapshot it tolerates the first clock edges pending at exactly
     /// t=0 (a clock with phase 0) — with zero events executed no two-phase
     /// edge protocol can be half-applied, so the state is consistent.
-    snap::Snapshot pristine_image(const ExtraSave& extra = {}) const;
+    snap::Snapshot pristine_image() const;
 
     /// Rewind a *running* Soc to an image taken from this (or an identically
-    /// elaborated) Soc — pristine_image for a lane reset, save_snapshot for
-    /// a mid-run handoff. Pending events are dropped, the capture is rewound
-    /// in place (probe slots and an attached StreamingChecker survive), and
-    /// every component restores; on return this Soc continues exactly where
-    /// the imaged one stood. Persistent wiring (observers, monitors, bound
-    /// checkers) is untouched; per-case hooks (fault injectors) must be
-    /// detached by their owners before reuse.
+    /// elaborated) Soc: pristine_image for a lane reset, save_snapshot for a
+    /// shared warm-up prefix. Pending events are dropped, the capture is
+    /// rewound in place (probe slots and an attached StreamingChecker
+    /// survive), and every component restores; on return this Soc
+    /// continues exactly where the imaged one stood. Persistent wiring
+    /// (observers, monitors, bound checkers) is untouched; per-case hooks
+    /// (fault injectors) must be detached by their owners before reuse.
+    ///
+    /// `plan` is an optional pre-validated snap::RewindPlan of `image`. The
+    /// first call with a given (image, plan) pairing runs the strict
+    /// restore and verifies the plan matches the image (size + digest);
+    /// once verified, later calls with the same pairing take the trusted
+    /// O(1)-per-chunk parse. nullptr (or an unverifiable plan) keeps the
+    /// strict path; behaviour, traces and digests are identical either way.
     void reset_from_image(const snap::Snapshot& image,
-                          const ExtraRestore& extra = {});
-
-    /// Rewind through a pre-validated snap::RewindPlan — the gang engine's
-    /// per-case reset. The first call with a given (image, plan) pairing
-    /// runs the strict restore and verifies the plan matches the image
-    /// (size + digest); once verified, later calls with the same pairing
-    /// take the trusted O(1)-per-chunk parse. Passing nullptr (or an
-    /// unverifiable plan) degrades to the strict path — behaviour, traces,
-    /// and digests are identical either way.
-    void reset_from_image(const snap::Snapshot& image,
-                          const snap::RewindPlan* plan,
-                          const ExtraRestore& extra = {});
+                          const snap::RewindPlan* plan = nullptr);
 
     const SocSpec& spec() const { return *spec_; }
     const std::shared_ptr<const SocSpec>& spec_ptr() const { return spec_; }
@@ -190,9 +167,8 @@ class Soc {
   private:
     /// Shared save/restore bodies (snapshot and image paths differ only in
     /// preconditions and capture/probe lifecycle).
-    void write_image(snap::StateWriter& w, const ExtraSave& extra,
-                     bool require_boundary) const;
-    void read_image(snap::StateReader& r, const ExtraRestore& extra);
+    void write_image(snap::StateWriter& w, bool require_boundary) const;
+    void read_image(snap::StateReader& r);
     std::shared_ptr<const SocSpec> spec_;
     sim::Scheduler sched_;
     std::vector<std::unique_ptr<core::SbWrapper>> wrappers_;

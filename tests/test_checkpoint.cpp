@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,12 @@ fuzz::CampaignProgress sample_progress() {
 
 std::string temp_path(const std::string& name) {
     return ::testing::TempDir() + "st_checkpoint_" + name;
+}
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
 }
 
 // --- image round-trip ---
@@ -87,6 +95,37 @@ TEST(Checkpoint, RejectsTrailingBytes) {
     bytes.push_back(0xAB);
     EXPECT_THROW(fuzz::decode_progress(snap::Snapshot(std::move(bytes))),
                  snap::SnapshotError);
+}
+
+// --- images from builds with a re-simulated warm-up prefix ---
+
+// Two checked-in images of one stopped campaign (pair, seed 5, 60 runs,
+// 80 cycles, warm-up 30, all fault classes, stopped after 20 cases),
+// written by a build that still offered `st_fuzz --no-warmup-fork`: one
+// with the forked prefix (the default), one with the re-simulated prefix.
+// The key's warm-up-fork byte is retired — ignored on read and written as
+// 1 — so both decode to the same progress, and re-encoding either gives
+// the default image byte for byte.
+TEST(CheckpointCompat, ResimulatedPrefixImageDecodesAsDefaultImage) {
+    const std::string dir = ST_TESTS_DATA_DIR;
+    const std::string forked_path = dir + "/pair_warmup_stop20.ckpt";
+    const fuzz::CampaignProgress forked =
+        fuzz::load_progress_file(forked_path);
+    const fuzz::CampaignProgress resimulated =
+        fuzz::load_progress_file(dir + "/pair_warmup_resim_stop20.ckpt");
+    EXPECT_TRUE(resimulated == forked);
+
+    fuzz::CampaignConfig cfg = faulty_config();
+    cfg.warmup_cycles = 30;
+    EXPECT_TRUE(forked.key ==
+                fuzz::make_campaign_key(cfg, 5, 60, runner::Shard{}));
+    EXPECT_EQ(forked.completed, 20u);
+    EXPECT_EQ(forked.summary.runs, 20u);
+
+    const std::string path = temp_path("compat.ckpt");
+    fuzz::save_progress_file(resimulated, path);
+    EXPECT_EQ(read_bytes(path), read_bytes(forked_path));
+    std::remove(path.c_str());
 }
 
 // --- resume ---

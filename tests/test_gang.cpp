@@ -1,38 +1,38 @@
-// Differential suite for the gang execution engine: blocks of fuzz cases
-// advanced in lockstep on persistent structure-of-arrays lanes must be
-// *indistinguishable* from the scalar CaseRunner — bit-identical campaign
-// summaries at every (jobs, gang width) point, identical per-case reports
-// (outcome, detail locus, event counts), peel handoffs that land on the
-// same classification as the uninterrupted scalar run, and checkpoints
-// portable between the two engines in both directions.
+// Differential suite for the campaign engine: every case runs on a
+// persistent gang::Lane (rewind, inject, apply_live, run bounded,
+// classify), and must be *indistinguishable* from the fresh-elaboration
+// oracle (tests/case_oracle.hpp) — bit-identical campaign summaries at
+// every jobs value and shard split, identical per-case reports (outcome,
+// detail locus, event counts) in identical on_run order, and reports that
+// do not depend on what the lane ran before.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "case_oracle.hpp"
 #include "fuzz/campaign.hpp"
-#include "fuzz/gang_runner.hpp"
 #include "fuzz/injector.hpp"
 #include "fuzz/shrink.hpp"
-#include "gang/delay_sweep.hpp"
 #include "gang/program.hpp"
 #include "sim/random.hpp"
 #include "sva/spec_text.hpp"
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "verify/determinism.hpp"
 
 namespace {
 
 using namespace st;
+
+using Observed = std::vector<std::pair<std::size_t, fuzz::RunReport>>;
 
 std::string read_file(const std::string& path) {
     std::ifstream is(path, std::ios::binary);
@@ -47,33 +47,58 @@ sys::SocSpec fixture_spec(const char* file) {
     return sva::to_spec(sva::parse_spec_text(text));
 }
 
-std::string temp_path(const std::string& name) {
-    return ::testing::TempDir() + "st_gang_" + name;
-}
-
-fuzz::CampaignSummary run_grid_point(const fuzz::Campaign& campaign,
-                                     std::uint64_t runs, std::uint64_t seed,
-                                     std::size_t jobs, std::size_t gang) {
+/// Campaign::run at `jobs`, recording the on_run stream.
+fuzz::CampaignSummary run_engine(const fuzz::Campaign& campaign,
+                                 std::uint64_t runs, std::uint64_t seed,
+                                 std::size_t jobs, Observed* seen = nullptr,
+                                 runner::Shard shard = {}) {
     fuzz::CampaignControl ctl;
-    ctl.gang_width = gang;
-    return campaign.run(runs, seed, {}, jobs, ctl);
+    ctl.shard = shard;
+    return campaign.run(
+        runs, seed,
+        [seen](std::size_t i, const fuzz::FuzzCase&,
+               const fuzz::RunReport& r) {
+            if (seen != nullptr) seen->emplace_back(i, r);
+        },
+        jobs, ctl);
 }
 
 /// The core differential: the summary — counters, retained failure cases
-/// with their delay vectors, faults, details and loci — must be equal at
-/// every grid point, for this campaign configuration.
-void expect_grid_identical(const fuzz::Campaign& campaign,
-                           std::uint64_t runs, std::uint64_t seed) {
-    const auto reference = run_grid_point(campaign, runs, seed, 1, 1);
+/// with their delay vectors, faults, details and loci — and the per-case
+/// on_run stream must equal the oracle's at every jobs value.
+void expect_engine_matches_oracle(
+    const fuzz::Campaign& campaign, std::uint64_t runs, std::uint64_t seed,
+    oracle::Warmup warmup = oracle::Warmup::kRestore) {
+    Observed expected;
+    const auto reference = oracle::run_campaign(
+        campaign, runs, seed, {}, warmup,
+        [&](std::size_t i, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
+            expected.emplace_back(i, r);
+        });
     EXPECT_EQ(reference.runs, runs);
     for (const std::size_t jobs : {1, 2, 4}) {
-        for (const std::size_t gang : {1, 4, 16}) {
-            if (jobs == 1 && gang == 1) continue;
-            const auto r = run_grid_point(campaign, runs, seed, jobs, gang);
-            EXPECT_TRUE(r == reference)
-                << "summary diverged at jobs=" << jobs << " gang=" << gang;
+        Observed seen;
+        const auto s = run_engine(campaign, runs, seed, jobs, &seen);
+        EXPECT_TRUE(s == reference) << "summary diverged at jobs=" << jobs;
+        ASSERT_EQ(seen.size(), expected.size()) << "jobs=" << jobs;
+        for (std::size_t k = 0; k < seen.size(); ++k) {
+            EXPECT_EQ(seen[k].first, expected[k].first);
+            EXPECT_TRUE(seen[k].second == expected[k].second)
+                << "jobs=" << jobs << " case " << seen[k].first << ": "
+                << seen[k].second.detail << " vs "
+                << expected[k].second.detail;
         }
     }
+}
+
+std::vector<fuzz::FaultClass> classes_for(const std::string& spec) {
+    // The bus spec's multi-ring rejects ring-wire fault classes (the
+    // Injector throws); exercise the FIFO/restart classes there and the
+    // full set everywhere else.
+    return spec == "bus" ? std::vector<fuzz::FaultClass>{
+                               fuzz::FaultClass::kFifoStall,
+                               fuzz::FaultClass::kRestartGlitch}
+                         : fuzz::all_fault_classes();
 }
 
 // --- shipped specs, fault-free and faulted -------------------------------
@@ -85,7 +110,7 @@ TEST(GangDifferential, ShippedSpecsFaultFree) {
         cfg.spec_name = name;
         cfg.cycles = 60;
         const fuzz::Campaign campaign(cfg);
-        expect_grid_identical(campaign, 18, 17);
+        expect_engine_matches_oracle(campaign, 18, 17);
     }
 }
 
@@ -95,43 +120,33 @@ TEST(GangDifferential, ShippedSpecsAllFaultClasses) {
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 60;
-        // The bus spec's multi-ring rejects ring-wire fault classes
-        // (Injector throws on both engines, pre-existing); exercise the
-        // FIFO/restart classes there and the full set everywhere else.
-        cfg.classes = name == "bus"
-                          ? std::vector<fuzz::FaultClass>{
-                                fuzz::FaultClass::kFifoStall,
-                                fuzz::FaultClass::kRestartGlitch}
-                          : fuzz::all_fault_classes();
+        cfg.classes = classes_for(name);
         cfg.max_faults = 2;
         const fuzz::Campaign campaign(cfg);
-        expect_grid_identical(campaign, 18, 29);
+        expect_engine_matches_oracle(campaign, 18, 29);
     }
 }
 
-// Warm-up prefixes interact with lane rewind (fork restores the shared
-// snapshot; non-fork re-simulates the prefix on the lane): both must stay
-// on the scalar engine's summary.
+// The engine always rewinds to the shared warm-up snapshot; the oracle
+// either restores that snapshot into a fresh Soc or re-simulates the
+// prefix. All three must agree.
 TEST(GangDifferential, WarmupForkAndNonFork) {
-    for (const bool fork : {true, false}) {
-        SCOPED_TRACE(fork ? "fork" : "non-fork");
+    for (const auto warmup :
+         {oracle::Warmup::kRestore, oracle::Warmup::kResimulate}) {
+        SCOPED_TRACE(warmup == oracle::Warmup::kRestore ? "restore"
+                                                        : "re-simulate");
         fuzz::CampaignConfig cfg;
         cfg.spec_name = "pair";
         cfg.cycles = 80;
         cfg.warmup_cycles = 30;
-        cfg.warmup_fork = fork;
         cfg.classes = fuzz::all_fault_classes();
         const fuzz::Campaign campaign(cfg);
-        const auto reference = run_grid_point(campaign, 24, 5, 1, 1);
-        for (const std::size_t gang : {4, 16}) {
-            const auto r = run_grid_point(campaign, 24, 5, 2, gang);
-            EXPECT_TRUE(r == reference) << "gang=" << gang;
-        }
+        expect_engine_matches_oracle(campaign, 24, 5, warmup);
     }
 }
 
-// Batch (offline diff) classification composes with gang lanes too: the
-// lanes simply run without checkers and diff at the end.
+// Batch (offline diff) classification: the lane runs without a checker
+// and diffs the capture at the end.
 TEST(GangDifferential, NoStreamingMode) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "triangle";
@@ -139,9 +154,26 @@ TEST(GangDifferential, NoStreamingMode) {
     cfg.streaming = false;
     cfg.classes = fuzz::all_fault_classes();
     const fuzz::Campaign campaign(cfg);
-    const auto reference = run_grid_point(campaign, 16, 3, 1, 1);
-    const auto gang = run_grid_point(campaign, 16, 3, 2, 8);
-    EXPECT_TRUE(gang == reference);
+    expect_engine_matches_oracle(campaign, 16, 3);
+}
+
+// Warm-up prefix with batch classification: the lane rewinds to the shared
+// prefix with no checker attached and diffs the capture — prefix included —
+// at the end, as the oracle's fresh Soc does under either prefix variant.
+TEST(GangDifferential, WarmupWithoutStreaming) {
+    for (const auto warmup :
+         {oracle::Warmup::kRestore, oracle::Warmup::kResimulate}) {
+        SCOPED_TRACE(warmup == oracle::Warmup::kRestore ? "restore"
+                                                        : "re-simulate");
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "triangle";
+        cfg.cycles = 80;
+        cfg.warmup_cycles = 30;
+        cfg.streaming = false;
+        cfg.classes = fuzz::all_fault_classes();
+        const fuzz::Campaign campaign(cfg);
+        expect_engine_matches_oracle(campaign, 16, 41, warmup);
+    }
 }
 
 // --- NoC-scale fixture specs ---------------------------------------------
@@ -153,41 +185,56 @@ TEST(GangDifferential, TopoFixtureSpecs) {
         cfg.spec_name = file;
         cfg.cycles = 50;
         const fuzz::Campaign campaign(cfg, fixture_spec(file));
-        const auto reference = run_grid_point(campaign, 6, 11, 1, 1);
+        const auto reference = oracle::run_campaign(campaign, 6, 11);
         EXPECT_EQ(reference.by_outcome[0], 6u)
             << "synchro-token fixture must be delay-insensitive";
-        for (const std::size_t gang : {4, 16}) {
-            const auto r = run_grid_point(campaign, 6, 11, 2, gang);
-            EXPECT_TRUE(r == reference) << "gang=" << gang;
+        for (const std::size_t jobs : {1, 2}) {
+            EXPECT_TRUE(run_engine(campaign, 6, 11, jobs) == reference)
+                << "jobs=" << jobs;
         }
     }
 }
 
-// --- sharding / blocks ----------------------------------------------------
+// Faulted cases on the 64-SB fixtures: every fault class lands on a lane
+// whose previous case left ring, FIFO and clock state far from nominal.
+TEST(GangDifferential, TopoFixtureSpecsAllFaultClasses) {
+    for (const char* file :
+         {"mesh_8x8.stspec", "star_64.stspec", "ring_of_rings_64.stspec"}) {
+        SCOPED_TRACE(file);
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = file;
+        cfg.cycles = 40;
+        cfg.classes = fuzz::all_fault_classes();
+        const fuzz::Campaign campaign(cfg, fixture_spec(file));
+        expect_engine_matches_oracle(campaign, 6, 19);
+    }
+}
 
-// Gang blocks are formed from *shard-local* case indices, so shard
-// summaries produced on the gang engine merge to the same single-process
-// summary as scalar shards.
+// --- sharding / on_run order ---------------------------------------------
+
+// Shard summaries produced by the engine merge to the oracle's
+// single-process summary, and each shard equals the oracle's shard.
 TEST(GangDifferential, ShardedGangMergesToScalarWhole) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "pair";
     cfg.cycles = 60;
     cfg.classes = fuzz::all_fault_classes();
     const fuzz::Campaign campaign(cfg);
-    const auto whole = run_grid_point(campaign, 30, 7, 1, 1);
+    const auto whole = oracle::run_campaign(campaign, 30, 7);
 
     std::vector<fuzz::CampaignSummary> parts;
     for (std::uint64_t i = 0; i < 3; ++i) {
-        fuzz::CampaignControl ctl;
-        ctl.gang_width = 4;
-        ctl.shard = runner::Shard{i, 3};
-        parts.push_back(campaign.run(30, 7, {}, 2, ctl));
+        const runner::Shard shard{i, 3};
+        parts.push_back(run_engine(campaign, 30, 7, 2, nullptr, shard));
+        EXPECT_TRUE(parts.back() == oracle::run_campaign(campaign, 30, 7,
+                                                         shard))
+            << "shard " << i;
     }
     EXPECT_TRUE(fuzz::merge_shards(parts) == whole);
 }
 
-// The on_run observation stream (global index, case, report) must be the
-// scalar stream even though execution happens in lockstep blocks.
+// The on_run observation stream (global index, report) must be the
+// oracle's, in the same order, at every jobs value.
 TEST(GangDifferential, OnRunSequenceMatchesScalar) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "pair";
@@ -195,127 +242,62 @@ TEST(GangDifferential, OnRunSequenceMatchesScalar) {
     cfg.classes = {fuzz::FaultClass::kTokenDropWire};
     const fuzz::Campaign campaign(cfg);
 
-    using Seen = std::vector<std::pair<std::size_t, fuzz::RunReport>>;
-    const auto observe = [&](std::size_t gang_width) {
-        Seen seen;
-        fuzz::CampaignControl ctl;
-        ctl.gang_width = gang_width;
-        campaign.run(
-            20, 13,
-            [&](std::size_t i, const fuzz::FuzzCase&,
-                const fuzz::RunReport& r) { seen.emplace_back(i, r); },
-            1, ctl);
-        return seen;
-    };
-    EXPECT_TRUE(observe(8) == observe(1));
+    Observed expected;
+    oracle::run_campaign(
+        campaign, 20, 13, {}, oracle::Warmup::kRestore,
+        [&](std::size_t i, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
+            expected.emplace_back(i, r);
+        });
+    for (const std::size_t jobs : {1, 4}) {
+        Observed seen;
+        run_engine(campaign, 20, 13, jobs, &seen);
+        EXPECT_TRUE(seen == expected) << "jobs=" << jobs;
+    }
 }
 
-// --- peeling --------------------------------------------------------------
+// --- lane reuse -----------------------------------------------------------
 
-// Force divergence-under-fault: cases whose scalar classification is
-// kTraceDivergent keep early-exit off, so the gang lane diverges mid-flight
-// and must peel onto the scalar finisher — and still report the same
-// outcome, locus, and event count as the uninterrupted scalar run.
-TEST(GangPeel, DivergentFaultedCasesPeelToSameClassification) {
+// A report must not depend on what the lane ran before: cases A, B, A on
+// one CaseRunner give the oracle's report each time, for faulted,
+// divergent and fault-free cases alike.
+TEST(GangDifferential, LaneReuseABAMatchesOracle) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "pair";
     cfg.cycles = 80;
     cfg.classes = fuzz::all_fault_classes();
-    cfg.max_faults = 2;
     const fuzz::Campaign campaign(cfg);
 
-    // Draw until we have a block's worth of scalar-divergent cases.
+    // A = a case the oracle classifies divergent under faults (its checker
+    // keeps running past the first mismatch); B = a 200% delay case with no
+    // faults (its ring perturbation survives the rewind).
     sim::Rng rng(21);
-    std::vector<fuzz::FuzzCase> divergent;
-    std::vector<fuzz::RunReport> expected;
-    fuzz::CaseRunner scalar(campaign);
-    for (int draws = 0; draws < 4000 && divergent.size() < 4; ++draws) {
-        const auto c = campaign.random_case(rng);
-        const auto r = scalar.run(c);
-        if (r.outcome == fuzz::Outcome::kTraceDivergent) {
-            divergent.push_back(c);
-            expected.push_back(r);
-        }
+    oracle::CaseOracle oracle(campaign);
+    fuzz::FuzzCase a;
+    bool found = false;
+    for (int draws = 0; draws < 4000 && !found; ++draws) {
+        a = campaign.random_case(rng);
+        found = oracle.run(a).outcome == fuzz::Outcome::kTraceDivergent;
     }
-    ASSERT_EQ(divergent.size(), 4u)
-        << "seed 21 no longer yields divergent faulted cases; pick another";
-
-    // A small lockstep window: peel checks happen only at window
-    // boundaries, and these short cases finish inside the default 2048.
-    fuzz::GangRunner gang(campaign, divergent.size(), /*window=*/64);
-    const auto reports = gang.run_block(divergent.data(), divergent.size());
-    EXPECT_GT(gang.lanes_peeled(), 0u)
-        << "divergent faulted lanes must take the peel path";
-    ASSERT_EQ(reports.size(), expected.size());
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        EXPECT_TRUE(reports[i] == expected[i])
-            << "case " << i << ": " << reports[i].detail << " vs "
-            << expected[i].detail;
+    ASSERT_TRUE(found) << "seed 21 yields no divergent faulted case";
+    fuzz::FuzzCase b;
+    b.delays = sys::DelayConfig::nominal(campaign.spec());
+    for (std::size_t d = 0; d < b.delays.dimensions(); ++d) {
+        b.delays.set(d, 200);
     }
-}
 
-// Lanes are reused across blocks: running the same block twice on one
-// runner must give identical reports (rewind leaves no residue), and a
-// peeled block must not contaminate the next.
-TEST(GangPeel, LaneReuseAcrossBlocksIsStateless) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-
-    sim::Rng rng(33);
-    std::vector<fuzz::FuzzCase> block;
-    for (int i = 0; i < 8; ++i) block.push_back(campaign.random_case(rng));
-
-    fuzz::GangRunner gang(campaign, block.size());
-    const auto first = gang.run_block(block.data(), block.size());
-    const auto second = gang.run_block(block.data(), block.size());
-    EXPECT_TRUE(first == second);
-}
-
-// --- checkpoints across engines ------------------------------------------
-
-TEST(GangCheckpoint, CrossEngineResumeBothWays) {
-    fuzz::CampaignConfig cfg;
-    cfg.spec_name = "pair";
-    cfg.cycles = 60;
-    cfg.classes = fuzz::all_fault_classes();
-    const fuzz::Campaign campaign(cfg);
-    const auto whole = run_grid_point(campaign, 48, 19, 1, 1);
-
-    struct Leg {
-        std::size_t stop_gang;    ///< engine that runs the prefix
-        std::size_t resume_gang;  ///< engine that finishes the campaign
-    };
-    for (const Leg leg : {Leg{1, 4}, Leg{4, 1}}) {
-        SCOPED_TRACE(std::to_string(leg.stop_gang) + "->" +
-                     std::to_string(leg.resume_gang));
-        const std::string path =
-            temp_path("xengine_" + std::to_string(leg.stop_gang) + ".ckpt");
-
-        fuzz::CampaignControl stop;
-        stop.gang_width = leg.stop_gang;
-        stop.checkpoint_path = path;
-        stop.stop_after = 20;
-        const auto prefix = campaign.run(48, 19, {}, 2, stop);
-        EXPECT_EQ(prefix.runs, 20u);
-
-        fuzz::CampaignControl resume;
-        resume.gang_width = leg.resume_gang;
-        resume.checkpoint_path = path;
-        resume.resume = true;
-        const auto finished = campaign.run(48, 19, {}, 2, resume);
-        EXPECT_TRUE(finished == whole);
-        std::remove(path.c_str());
-    }
+    const fuzz::RunReport ra = oracle.run(a);
+    const fuzz::RunReport rb = oracle.run(b);
+    fuzz::CaseRunner runner(campaign);
+    EXPECT_TRUE(runner.run(a) == ra);
+    EXPECT_TRUE(runner.run(b) == rb);
+    EXPECT_TRUE(runner.run(a) == ra);
+    EXPECT_TRUE(runner.run(b) == rb);
 }
 
 // --- shrink / replay ------------------------------------------------------
 
-// A failure retained by a gang campaign shrinks and replays exactly like
-// the scalar-retained failure (they are the same case by summary equality;
-// this pins the whole loop end to end).
+// A failure retained by an engine campaign shrinks on one lane, and the
+// shrunk case replays through run_case exactly as the oracle classifies it.
 TEST(GangShrink, GangRetainedFailureShrinksAndReplays) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "pair";
@@ -323,80 +305,129 @@ TEST(GangShrink, GangRetainedFailureShrinksAndReplays) {
     cfg.classes = {fuzz::FaultClass::kTokenDropWire};
     const fuzz::Campaign campaign(cfg);
 
-    const auto gang_summary = run_grid_point(campaign, 40, 7, 2, 8);
-    const auto scalar_summary = run_grid_point(campaign, 40, 7, 1, 1);
-    ASSERT_TRUE(gang_summary == scalar_summary);
-    ASSERT_FALSE(gang_summary.failures.empty());
+    const auto summary = run_engine(campaign, 40, 7, 2);
+    ASSERT_TRUE(summary == oracle::run_campaign(campaign, 40, 7));
+    ASSERT_FALSE(summary.failures.empty());
 
-    const auto& failure = gang_summary.failures.front();
+    const auto& failure = summary.failures.front();
     const auto shrunk = fuzz::shrink(campaign, failure.c);
     EXPECT_EQ(shrunk.outcome, failure.report.outcome);
-    // The shrunk case replays deterministically on both engines.
-    const auto scalar_replay = campaign.run_case(shrunk.minimal);
-    EXPECT_EQ(scalar_replay.outcome, shrunk.outcome);
-    fuzz::GangRunner gang(campaign, 1);
-    const auto replayed = gang.run_block(&shrunk.minimal, 1);
-    ASSERT_EQ(replayed.size(), 1u);
-    EXPECT_TRUE(replayed[0] == scalar_replay);
+    EXPECT_GT(shrunk.attempts, 1u);
+    const auto replay = campaign.run_case(shrunk.minimal);
+    EXPECT_EQ(replay.outcome, shrunk.outcome);
+    oracle::CaseOracle oracle(campaign);
+    EXPECT_TRUE(replay == oracle.run(shrunk.minimal));
+    EXPECT_TRUE(replay == campaign.run_case(shrunk.minimal));
 }
 
-// --- determinism-harness gang front-end ----------------------------------
+// Shrink runs every attempt on one CaseRunner, so each attempt lands on a
+// lane the previous attempt dirtied. For the first retained failure of each
+// fault class the result must not depend on that history: a second shrink
+// gives the same minimal case in the same number of attempts, and the
+// minimal case classifies as the oracle classifies it.
+TEST(GangShrink, EveryFaultClassShrinksDeterministicallyToOracleReport) {
+    std::size_t shrunk_classes = 0;
+    for (const auto cls : fuzz::all_fault_classes()) {
+        SCOPED_TRACE(static_cast<int>(cls));
+        fuzz::CampaignConfig cfg;
+        cfg.spec_name = "pair";
+        cfg.cycles = 80;
+        cfg.classes = {cls};
+        const fuzz::Campaign campaign(cfg);
+        const auto summary = run_engine(campaign, 40, 3, 2);
+        if (summary.failures.empty()) continue;  // class is silent on pair
 
-// The DelayConfig sweep runner (st_topo --gang) against the scalar batch
-// harness: identical SweepResults over the whole (jobs, gang) grid on a
-// NoC-scale fixture.
-TEST(GangHarness, DelaySweepMatchesScalarAcrossGrid) {
-    const sys::SocSpec spec = fixture_spec("star_64.stspec");
-    const std::uint64_t cycles = 50;
-    const std::uint64_t horizon = cycles + 40;
-    const auto run = [&](const sys::DelayConfig& dc) {
-        sys::Soc soc(sys::apply(spec, dc));
-        soc.run_cycles(horizon, sim::ms(2000));
-        return soc.traces();
-    };
-    verify::DeterminismHarness<sys::DelayConfig> harness(
-        run, sys::DelayConfig::nominal(spec), cycles);
-    harness.capture_nominal();
-
-    std::vector<sys::DelayConfig> sweep;
-    sim::Rng rng(77);
-    for (int k = 0; k < 6; ++k) {
-        auto dc = sys::DelayConfig::nominal(spec);
-        const unsigned percents[4] = {50, 75, 150, 200};
-        for (std::size_t d = 0; d < dc.dimensions(); ++d) {
-            const bool clock =
-                d >= dc.dimensions() - dc.clock_pct.size();
-            const unsigned pct = percents[rng.next_below(4)];
-            dc.set(d, clock ? std::max(75u, pct) : pct);
-        }
-        sweep.push_back(dc);
+        const auto& failure = summary.failures.front();
+        const auto first = fuzz::shrink(campaign, failure.c);
+        const auto second = fuzz::shrink(campaign, failure.c);
+        EXPECT_EQ(first.outcome, failure.report.outcome);
+        EXPECT_TRUE(first.minimal == second.minimal);
+        EXPECT_EQ(first.attempts, second.attempts);
+        oracle::CaseOracle oracle(campaign);
+        const auto expected = oracle.run(first.minimal);
+        EXPECT_EQ(expected.outcome, first.outcome);
+        EXPECT_TRUE(campaign.run_case(first.minimal) == expected);
+        ++shrunk_classes;
     }
+    EXPECT_GE(shrunk_classes, 3u);
+}
 
-    const auto reference = harness.sweep(sweep, 1);
-    EXPECT_TRUE(reference.all_match());
-    for (const std::size_t gang : {2, 4}) {
-        harness.set_gang(
-            [&spec, &harness, horizon, gang] {
-                return gang::make_delay_block_runner(
-                    spec, harness.golden_index(), horizon, sim::ms(2000),
-                    gang);
-            },
-            gang);
-        for (const std::size_t jobs : {1, 2}) {
-            const auto r = harness.sweep(sweep, jobs);
-            EXPECT_TRUE(r == reference)
-                << "jobs=" << jobs << " gang=" << gang;
-        }
-    }
+// --- the lane contract: delays after a rewind -----------------------------
+
+// Ring hop delays are not snapshot state: a rewind keeps the previous
+// case's ring perturbation, and only apply_live restores the nominal
+// point. Rewind + apply_live(nominal) after a perturbed case must then
+// trace exactly like a freshly elaborated nominal Soc.
+TEST(GangLane, RewindThenNominalApplyLiveMatchesFreshSoc) {
+    const sys::SocSpec spec = sys::make_named_spec("pair");
+    const sim::Time nominal_hop = spec.rings[0].delay_ab;
+    const sim::Time deadline = sim::ms(2000);
+    gang::Lane lane(spec, {});
+
+    const auto nominal = sys::DelayConfig::nominal(spec);
+    auto slow = nominal;
+    for (std::size_t d = 0; d < slow.dimensions(); ++d) slow.set(d, 200);
+    lane.rewind();
+    sys::apply_live(lane.soc(), slow);
+    lane.soc().run_cycles(60, deadline);
+
+    lane.rewind();
+    EXPECT_EQ(lane.soc().ring(0).hop_delay(0), 2 * nominal_hop)
+        << "ring hop delays ride outside the image";
+    sys::apply_live(lane.soc(), nominal);
+    EXPECT_EQ(lane.soc().ring(0).hop_delay(0), nominal_hop);
+    lane.soc().run_cycles(60, deadline);
+
+    sys::Soc fresh(spec);
+    fresh.run_cycles(60, deadline);
+    EXPECT_EQ(lane.soc().traces(), fresh.traces());
+    EXPECT_EQ(lane.soc().scheduler().events_executed(),
+              fresh.scheduler().events_executed());
+}
+
+// The same contract at a campaign's warm-up boundary: rewinding to the
+// shared prefix also keeps the previous case's ring perturbation, and
+// apply_live(nominal) then continues exactly like a fresh nominal Soc that
+// ran the prefix itself.
+TEST(GangLane, RewindToWarmupPrefixThenNominalApplyLiveMatchesFreshSoc) {
+    fuzz::CampaignConfig cfg;
+    cfg.spec_name = "pair";
+    cfg.cycles = 60;
+    cfg.warmup_cycles = 30;
+    const fuzz::Campaign campaign(cfg);
+    const sys::SocSpec& spec = campaign.spec();
+    const sim::Time nominal_hop = spec.rings[0].delay_ab;
+    const sim::Time deadline = sim::ms(2000);
+    gang::Lane lane(campaign.program(), {});
+
+    const auto nominal = sys::DelayConfig::nominal(spec);
+    auto slow = nominal;
+    for (std::size_t d = 0; d < slow.dimensions(); ++d) slow.set(d, 200);
+    lane.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
+    sys::apply_live(lane.soc(), slow);
+    lane.soc().run_cycles(cfg.cycles, deadline);
+
+    lane.rewind(campaign.warmup_prefix(), campaign.warmup_prefix_plan());
+    EXPECT_EQ(lane.soc().ring(0).hop_delay(0), 2 * nominal_hop)
+        << "ring hop delays ride outside the prefix image too";
+    sys::apply_live(lane.soc(), nominal);
+    EXPECT_EQ(lane.soc().ring(0).hop_delay(0), nominal_hop);
+    lane.soc().run_cycles(cfg.cycles, deadline);
+
+    sys::Soc fresh(spec);
+    fresh.run_cycles(cfg.warmup_cycles, deadline);
+    fresh.settle();
+    fresh.run_cycles(cfg.cycles, deadline);
+    EXPECT_EQ(lane.soc().traces(), fresh.traces());
 }
 
 // --- shared program & delta rewind ---------------------------------------
 
-/// Exercise one campaign's lane through a fault-free case, a faulted case,
-/// and a peel-style mid-run handoff; after each, both rewind flavours —
-/// the plan (delta) path and a fresh strict full restore — must land the
-/// lane on the program's exact pristine state, witnessed by re-serializing
-/// the live state and comparing digests.
+/// Exercise one campaign's lane through a fault-free case and a faulted
+/// case; after each, both rewind flavours — the plan (delta) path and a
+/// fresh strict full restore — must land the lane on the program's exact
+/// pristine state, witnessed by re-serializing the live state and
+/// comparing digests.
 void check_rewind_equivalence(const fuzz::Campaign& campaign,
                               std::uint64_t cycles) {
     gang::Lane::Options opt;
@@ -409,15 +440,13 @@ void check_rewind_equivalence(const fuzz::Campaign& campaign,
     sim::Rng rng(91);
     const auto dirty = [&](gang::Lane& l, const fuzz::FuzzCase& c,
                            std::uint64_t n) {
-        // Injector scoped per case, as GangRunner scopes its own: rewinds
+        // Injector scoped per case, as CaseRunner scopes its own: rewinds
         // happen with no per-case hooks attached.
         fuzz::Injector inj(l.soc(), c.faults);
         sys::apply_live(l.soc(), c.delays);
         l.soc().run_cycles(n, deadline);
     };
 
-    // Fault-free, then faulted: plan rewind vs strict restore, both back
-    // to the pristine digest.
     for (int k = 0; k < 2; ++k) {
         fuzz::FuzzCase c = campaign.random_case(rng);
         if (k == 0) c.faults.clear();
@@ -432,37 +461,6 @@ void check_rewind_equivalence(const fuzz::Campaign& campaign,
         lane.soc().reset_from_image(lane.pristine());  // strict full parse
         EXPECT_EQ(lane.soc().pristine_image().digest(), pristine);
     }
-
-    // Peel-style handoff: image the lane mid-case with the injector's
-    // counters, restore onto a finisher lane sharing the same program, run
-    // the finisher out — then plan-rewind both lanes. The handoff must
-    // leave no residue in either.
-    const fuzz::FuzzCase pc = campaign.random_case(rng);
-    lane.rewind();
-    snap::Snapshot handoff;
-    {
-        fuzz::Injector inj(lane.soc(), pc.faults);
-        sys::apply_live(lane.soc(), pc.delays);
-        lane.soc().run_cycles(cycles / 2, deadline);
-        lane.soc().settle();
-        handoff = lane.soc().save_snapshot(
-            [&inj](snap::StateWriter& w) { inj.save_state(w); });
-    }
-    gang::Lane finisher(campaign.program(), opt);
-    EXPECT_EQ(finisher.program().get(), lane.program().get());
-    {
-        fuzz::Injector fin_inj(finisher.soc(), pc.faults,
-                               /*defer_spurious=*/true);
-        finisher.rewind(handoff, [&fin_inj](snap::StateReader& r) {
-            fin_inj.restore_state(r);
-        });
-        sys::apply_live(finisher.soc(), pc.delays);
-        finisher.soc().run_cycles(cycles, deadline);
-    }
-    finisher.rewind();
-    EXPECT_EQ(finisher.soc().pristine_image().digest(), pristine);
-    lane.rewind();
-    EXPECT_EQ(lane.soc().pristine_image().digest(), pristine);
 }
 
 TEST(GangRewind, PlanRewindMatchesStrictRestoreShippedSpecs) {
@@ -471,11 +469,7 @@ TEST(GangRewind, PlanRewindMatchesStrictRestoreShippedSpecs) {
         fuzz::CampaignConfig cfg;
         cfg.spec_name = name;
         cfg.cycles = 40;
-        cfg.classes = name == "bus"
-                          ? std::vector<fuzz::FaultClass>{
-                                fuzz::FaultClass::kFifoStall,
-                                fuzz::FaultClass::kRestartGlitch}
-                          : fuzz::all_fault_classes();
+        cfg.classes = classes_for(name);
         const fuzz::Campaign campaign(cfg);
         check_rewind_equivalence(campaign, cfg.cycles);
     }
@@ -495,10 +489,10 @@ TEST(GangRewind, PlanRewindMatchesStrictRestoreTopoFixtures) {
 
 // --- program registry sharing --------------------------------------------
 
-// Every holder on one spec key — lanes, the campaign itself, a sweep
-// context's DelaySweepRunner — must hand back the identical Program
-// object, not an equivalent copy: one elaboration, one pristine image, one
-// plan per process.
+// Every holder on one spec key — free-standing lanes, the campaign itself,
+// and a CaseRunner's lane — must hand back the identical Program object,
+// not an equivalent copy: one elaboration, one pristine image, one plan per
+// process.
 TEST(GangProgram, LanesCampaignAndSweepContextShareOneProgram) {
     fuzz::CampaignConfig cfg;
     cfg.spec_name = "pair";
@@ -511,9 +505,8 @@ TEST(GangProgram, LanesCampaignAndSweepContextShareOneProgram) {
     EXPECT_EQ(a.program().get(), b.program().get());
     EXPECT_EQ(a.program().get(), campaign.program().get());
 
-    gang::DelaySweepRunner sweep(spec, campaign.golden_index(), cfg.cycles,
-                                 sim::ms(2000), /*width=*/2);
-    EXPECT_EQ(sweep.program().get(), campaign.program().get());
+    fuzz::CaseRunner runner(campaign);
+    EXPECT_EQ(runner.lane().program().get(), campaign.program().get());
 
     // A perturbed spec is a different program: its key is cleared, so it
     // gets a private elaboration, never the nominal registry entry.

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "case_oracle.hpp"
 #include "debug/driver.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/fault.hpp"
-#include "fuzz/injector.hpp"
 #include "snap/snapshot.hpp"
 #include "snap/state_io.hpp"
 #include "system/delay_config.hpp"
@@ -24,8 +24,6 @@
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
 #include "system/vcd_probe.hpp"
-#include "system/warm_runner.hpp"
-#include "verify/determinism.hpp"
 
 namespace st {
 namespace {
@@ -206,71 +204,6 @@ TEST(RestoreEquivalenceVcd, ContinuationVcdIsByteIdentical) {
         EXPECT_EQ(vcd_a.str(), vcd_b.str()) << "spec " << name;
         EXPECT_FALSE(vcd_a.str().empty());
     }
-}
-
-TEST(RestoreEquivalenceFaults, ResumedFaultRunMatchesUnsplit) {
-    const sys::SocSpec spec = sys::make_pair_spec();
-    std::vector<fuzz::Fault> faults;
-    {
-        fuzz::Fault f;  // drop the 6th token arriving at ring 0 side b
-        f.cls = fuzz::FaultClass::kTokenDropWire;
-        f.unit = 0;
-        f.side = 1;
-        f.nth = 6;
-        faults.push_back(f);
-        fuzz::Fault s;  // spurious token late in the run window
-        s.cls = fuzz::FaultClass::kSpuriousToken;
-        s.unit = 0;
-        s.side = 0;
-        s.nth = 1;
-        s.value = 60'000;  // ps; after the save point
-        faults.push_back(s);
-    }
-
-    // Unsplit faulted run.
-    SplitResult a;
-    {
-        sys::Soc soc(spec);
-        fuzz::Injector inj(soc, faults);
-        soc.run_cycles(kTotal, kDeadline);
-        soc.settle();
-        a.digest = soc.save_snapshot([&](snap::StateWriter& w) {
-                          inj.save_state(w);
-                      }).digest();
-        a.events = soc.scheduler().events_executed();
-        a.traces = soc.traces();
-    }
-
-    // Split faulted run: the injector's trigger counters and pending
-    // spurious event ride in the image as an extra chunk.
-    SplitResult b;
-    {
-        snap::Snapshot snap;
-        {
-            sys::Soc soc(spec);
-            fuzz::Injector inj(soc, faults);
-            soc.run_cycles(kPrefix, kDeadline);
-            soc.settle();
-            snap = soc.save_snapshot(
-                [&](snap::StateWriter& w) { inj.save_state(w); });
-        }
-        sys::Soc soc(spec);
-        fuzz::Injector inj(soc, faults, /*defer_spurious=*/true);
-        soc.restore_snapshot(snap, [&](snap::StateReader& r) {
-            inj.restore_state(r);
-        });
-        soc.run_cycles(kTotal, kDeadline);
-        soc.settle();
-        b.digest = soc.save_snapshot([&](snap::StateWriter& w) {
-                          inj.save_state(w);
-                      }).digest();
-        b.events = soc.scheduler().events_executed();
-        b.traces = soc.traces();
-    }
-
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.traces, b.traces);
 }
 
 // --- Fig. 2 digest across a snapshot boundary --------------------------
@@ -496,71 +429,32 @@ TEST(DebugDriverRaceAudit, OffByDefaultAndOffAfterPlainRestore) {
 
 // --- warm-up forking ----------------------------------------------------
 
-TEST(WarmRunner, ForkedSweepIsBitIdenticalToNonForked) {
-    const sys::SocSpec spec = sys::make_pair_spec();
-    const sys::DelayConfig nominal = sys::DelayConfig::nominal(spec);
-
-    std::vector<sys::DelayConfig> cases;
-    for (unsigned pct : {50u, 75u, 150u, 200u}) {
-        sys::DelayConfig c = nominal;
-        c.fifo_pct.assign(c.fifo_pct.size(), pct);
-        cases.push_back(c);
-        c = nominal;
-        c.ring_ab_pct.assign(c.ring_ab_pct.size(), pct);
-        cases.push_back(c);
-    }
-
-    const sys::WarmRunner forked(spec, kTotal, kDeadline, kPrefix,
-                                 /*fork=*/true);
-    const sys::WarmRunner plain(spec, kTotal, kDeadline, kPrefix,
-                                /*fork=*/false);
-    for (const auto& c : cases) {
-        EXPECT_EQ(forked(c), plain(c));
-    }
-
-    // And through the harness: identical sweep summaries at any job count.
-    verify::DeterminismHarness<sys::DelayConfig> hf(forked, nominal, kTotal);
-    verify::DeterminismHarness<sys::DelayConfig> hp(plain, nominal, kTotal);
-    const auto rf = hf.sweep(cases, /*jobs=*/2);
-    const auto rp = hp.sweep(cases, /*jobs=*/1);
-    EXPECT_EQ(rf.runs, rp.runs);
-    EXPECT_EQ(rf.mismatches, rp.mismatches);
-}
-
 TEST(CampaignWarmup, ForkedSummaryIsBitIdenticalToNonForked) {
-    fuzz::CampaignConfig base;
-    base.spec_name = "pair";
-    base.cycles = 80;
-    base.classes = fuzz::all_fault_classes();
-    base.warmup_cycles = 30;
+    fuzz::CampaignConfig cfg;
+    cfg.spec_name = "pair";
+    cfg.cycles = 80;
+    cfg.classes = fuzz::all_fault_classes();
+    cfg.warmup_cycles = 30;
+    const fuzz::Campaign campaign(cfg);
+    EXPECT_FALSE(campaign.warmup_prefix().empty());
 
-    fuzz::CampaignConfig forked = base;
-    forked.warmup_fork = true;
-    fuzz::CampaignConfig plain = base;
-    plain.warmup_fork = false;
-
-    const fuzz::Campaign cf(forked);
-    const fuzz::Campaign cp(plain);
-    EXPECT_EQ(cf.golden(), cp.golden());
-    EXPECT_FALSE(cf.warmup_prefix().empty());
-    EXPECT_TRUE(cp.warmup_prefix().empty());
-
-    // Identical case streams, identical per-run reports, identical summary —
-    // forked at jobs=2 against non-forked at jobs=1 (the acceptance bar).
+    // The engine forks every case from the prefix snapshot; the oracle
+    // re-simulates the prefix on a freshly elaborated Soc per case.
+    // Identical per-run reports and summary — forked at jobs=2 against
+    // re-simulated serially (the acceptance bar).
     std::vector<fuzz::RunReport> reports_f;
     std::vector<fuzz::RunReport> reports_p;
-    const auto sf = cf.run(
+    const auto sf = campaign.run(
         24, /*seed=*/0x5eedull,
         [&](std::size_t, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
             reports_f.push_back(r);
         },
         /*jobs=*/2);
-    const auto sp = cp.run(
-        24, /*seed=*/0x5eedull,
+    const auto sp = oracle::run_campaign(
+        campaign, 24, /*seed=*/0x5eedull, {}, oracle::Warmup::kResimulate,
         [&](std::size_t, const fuzz::FuzzCase&, const fuzz::RunReport& r) {
             reports_p.push_back(r);
-        },
-        /*jobs=*/1);
+        });
     EXPECT_EQ(reports_f, reports_p);
     EXPECT_EQ(sf, sp);
 }

@@ -20,7 +20,6 @@
 #include "system/delay_config.hpp"
 #include "system/soc.hpp"
 #include "system/testbenches.hpp"
-#include "system/warm_runner.hpp"
 #include "verify/determinism.hpp"
 #include "verify/streaming.hpp"
 #include "verify/trace_arena.hpp"
@@ -175,27 +174,28 @@ std::vector<sys::DelayConfig> grid_perturbations(const sys::SocSpec& spec) {
 
 TEST(HarnessDifferential, SynchroTokensLiveMatchesBatchAndLegacy) {
     const auto spec = sys::make_named_spec("triangle");
-    const sys::WarmRunner runner(spec, 60, sim::ms(1));
     const auto nominal = sys::DelayConfig::nominal(spec);
     const auto perturbations = grid_perturbations(spec);
+    // The LiveRunner shape e2ebench's sweep workload uses: elaborate the
+    // perturbed spec over the harness's capture and run.
+    const auto live = [&spec](const sys::DelayConfig& cfg,
+                              verify::RunCapture& cap) {
+        sys::Soc soc(std::make_shared<const sys::SocSpec>(
+                         sys::apply(spec, cfg)),
+                     &cap);
+        soc.run_cycles(60, sim::ms(1));
+    };
 
-    verify::DeterminismHarness<sys::DelayConfig> stream(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(
-            [&runner](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
-                runner.run(cfg, cap);
-            }),
-        nominal, 60);
-    verify::DeterminismHarness<sys::DelayConfig> batch(
-        verify::DeterminismHarness<sys::DelayConfig>::LiveRunner(
-            [&runner](const sys::DelayConfig& cfg, verify::RunCapture& cap) {
-                runner.run(cfg, cap);
-            }),
-        nominal, 60);
+    using Harness = verify::DeterminismHarness<sys::DelayConfig>;
+    Harness stream(Harness::LiveRunner(live), nominal, 60);
+    Harness batch(Harness::LiveRunner(live), nominal, 60);
     batch.set_streaming(false);
-    verify::DeterminismHarness<sys::DelayConfig> legacy(
-        verify::DeterminismHarness<sys::DelayConfig>::Runner(
-            [&runner](const sys::DelayConfig& cfg) { return runner(cfg); }),
-        nominal, 60);
+    Harness legacy(Harness::Runner([&live](const sys::DelayConfig& cfg) {
+                       verify::RunCapture cap;
+                       live(cfg, cap);
+                       return cap.traces();
+                   }),
+                   nominal, 60);
 
     const auto r_stream = stream.sweep(perturbations);
     EXPECT_EQ(r_stream, batch.sweep(perturbations));

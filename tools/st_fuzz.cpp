@@ -49,7 +49,6 @@ struct Options {
     std::vector<fuzz::FaultClass> classes;
     std::size_t max_faults = 2;
     std::uint64_t warmup = 0;
-    bool warmup_fork = true;
     bool streaming = true;
     std::optional<std::set<fuzz::Outcome>> expect;
     bool require_fired = false;
@@ -59,7 +58,6 @@ struct Options {
     std::string replay_path;
     std::string fixture;
     std::size_t jobs = 0;  ///< 0 = auto (hardware threads, ST_JOBS override)
-    std::size_t gang = 1;  ///< lockstep lanes per worker (1 = scalar engine)
     runner::Shard shard;   ///< deterministic 1-of-N slice of the campaign
     std::string checkpoint_path;
     std::uint64_t checkpoint_every = 0;  ///< 0 = default (1024)
@@ -107,8 +105,6 @@ void usage() {
         "  --warmup N         shared nominal warm-up prefix (local cycles,\n"
         "                     < --cycles); each case forks from one snapshot\n"
         "                     of the prefix instead of re-simulating it\n"
-        "  --no-warmup-fork   with --warmup: re-simulate the prefix per case\n"
-        "                     (baseline; summaries are bit-identical)\n"
         "  --no-streaming     classify runs by the batch differ instead of\n"
         "                     the online streaming checker (bit-identical\n"
         "                     summaries, no early exit; see docs/PERF.md)\n"
@@ -128,10 +124,6 @@ void usage() {
         "  --jobs N           parallel campaign workers (default: hardware\n"
         "                     threads, ST_JOBS override); results are\n"
         "                     bit-identical at every N\n"
-        "  --gang W           run W cases per worker in lockstep on\n"
-        "                     persistent reusable lanes (default 1 =\n"
-        "                     scalar engine); composes with --jobs/--shard/\n"
-        "                     --checkpoint and keeps summaries bit-identical\n"
         "  --shard I/N        run only the 1-of-N deterministic slice I of\n"
         "                     the campaign's case indices; N completed shard\n"
         "                     checkpoints --merge to the byte-identical\n"
@@ -387,7 +379,6 @@ int run_campaign(const Options& opt) {
     cfg.classes = opt.classes;
     cfg.max_faults = opt.max_faults;
     cfg.warmup_cycles = opt.warmup;
-    cfg.warmup_fork = opt.warmup_fork;
     cfg.streaming = opt.streaming;
     const fuzz::Campaign campaign(cfg);
 
@@ -401,7 +392,6 @@ int run_campaign(const Options& opt) {
     }
 
     fuzz::CampaignControl ctl;
-    ctl.gang_width = opt.gang;
     ctl.shard = opt.shard;
     ctl.checkpoint_path = opt.checkpoint_path;
     ctl.checkpoint_every = opt.checkpoint_every;
@@ -489,8 +479,6 @@ int main(int argc, char** argv) {
             opt.max_faults = std::strtoull(next().c_str(), nullptr, 0);
         } else if (arg == "--warmup") {
             opt.warmup = std::strtoull(next().c_str(), nullptr, 0);
-        } else if (arg == "--no-warmup-fork") {
-            opt.warmup_fork = false;
         } else if (arg == "--no-streaming") {
             opt.streaming = false;
         } else if (arg == "--expect") {
@@ -511,9 +499,6 @@ int main(int argc, char** argv) {
             opt.fixture = next();
         } else if (arg == "--jobs") {
             opt.jobs = std::strtoull(next().c_str(), nullptr, 0);
-        } else if (arg == "--gang") {
-            opt.gang = std::strtoull(next().c_str(), nullptr, 0);
-            if (opt.gang == 0) opt.gang = 1;
         } else if (arg == "--shard") {
             const std::string text = next();
             const auto shard = runner::parse_shard(text);
