@@ -278,7 +278,9 @@ void run_experiment() {
     mcfg.spec_name = "mesh64";
     mcfg.cycles = 60;
     const fuzz::Campaign mesh(mcfg, sva::to_spec(topo::generate(topt)));
-    const std::uint64_t mesh_runs = quick ? 8 : 24;
+    // Enough cases per sample that each row's CV stays near 15% or below at
+    // every jobs value: 8/24-case rows read jobs=4 at a 53% CV.
+    const std::uint64_t mesh_runs = quick ? 64 : 192;
 
     bench::banner("st::runner campaign scaling (generated mesh-64)");
     scale_campaign(mesh, "mesh64", mesh_runs, seed, jobs_axis, warmup,

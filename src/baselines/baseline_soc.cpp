@@ -23,7 +23,7 @@ BaselineSoc::BaselineSoc(const sys::SocSpec& spec, Kind kind,
                 sched_, s.name, s.clock, s.make_kernel()));
         } else {
             PausibleClock::Params pc;
-            pc.period = s.clock.base_period * s.clock.divider;
+            pc.period = sys::effective_period(s);
             pc.phase = s.clock.phase;
             pausible_.push_back(std::make_unique<PausibleWrapper>(
                 sched_, s.name, pc, s.make_kernel()));

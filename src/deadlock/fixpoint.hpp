@@ -80,12 +80,8 @@ struct SbStall {
 /// `cross` is read from a per-SB summary kept current as stalls grow — the
 /// largest stall in the SB, and the largest on a ring other than that
 /// one's — so a sweep is O(|V|) however many stations share an SB.
-///
-/// `Station` is StallStation or any type with the same five fields (the sva
-/// graph passes its own stations without copying them).
-template <class Station>
-StallFixpoint stall_fixpoint(const std::vector<Station>& stations,
-                             std::size_t num_sbs) {
+inline StallFixpoint stall_fixpoint(const std::vector<StallStation>& stations,
+                                    std::size_t num_sbs) {
     const std::size_t V = stations.size();
     StallFixpoint fp;
     fp.stall.assign(V, 0);
@@ -94,7 +90,7 @@ StallFixpoint stall_fixpoint(const std::vector<Station>& stations,
     for (std::size_t round = 0;; ++round) {
         fp.still_growing = kNoStation;
         for (std::size_t i = 0; i < V; ++i) {
-            const Station& n = stations[i];
+            const StallStation& n = stations[i];
             const detail::SbStall& peer = sbs[n.peer_sb];
             const detail::Best cross =
                 peer.top_ring != n.ring ? peer.top : peer.other;

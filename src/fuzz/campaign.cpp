@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "fuzz/case_exec.hpp"
@@ -151,33 +150,8 @@ RunReport probe_case(const sys::SocSpec& spec, const FuzzCase& c,
         run_bounded(soc, cycles, deadline, max_events, budget_expired);
 
     RunReport r;
-    r.goal_met = goal;
-    r.faults_fired = injector.fired();
-    r.events = soc.scheduler().events_executed();
-    r.protocol_errors = total_protocol_errors(soc);
-    if (!monitor.violations().empty() || r.protocol_errors > 0) {
-        r.outcome = Outcome::kInvariantViolation;
-        if (!monitor.violations().empty()) {
-            r.detail = monitor.violations().front();
-        } else {
-            std::ostringstream os;
-            os << r.protocol_errors << " token protocol error(s)";
-            r.detail = os.str();
-        }
-        return r;
-    }
-    if (!goal) {
-        r.outcome = Outcome::kDeadlocked;
-        if (budget_expired) {
-            r.detail = "event budget expired (livelock watchdog)";
-        } else if (soc.deadlocked()) {
-            r.detail = "quiescent with stopped clock(s)";
-        } else {
-            r.detail = "cycle goal not met before deadline";
-        }
-        return r;
-    }
-    r.outcome = Outcome::kDeterministic;
+    classify_failure(soc, injector.fired(), goal, budget_expired,
+                     monitor.violations(), nullptr, nullptr, r);
     return r;
 }
 

@@ -8,9 +8,7 @@ namespace st::fuzz {
 sim::Time max_effective_period(const sys::SocSpec& spec) {
     sim::Time max_p = 1;
     for (const auto& sb : spec.sbs) {
-        const sim::Time p =
-            sb.clock.base_period * std::max(1u, sb.clock.divider);
-        max_p = std::max(max_p, p);
+        max_p = std::max(max_p, sys::effective_period(sb));
     }
     return max_p;
 }
@@ -21,11 +19,8 @@ sim::Time perturbed_max_effective_period(const sys::SocSpec& nominal,
     // the clock base period, scaled by clock_pct.
     sim::Time max_p = 1;
     for (std::size_t i = 0; i < nominal.sbs.size(); ++i) {
-        const auto& sb = nominal.sbs[i];
-        const sim::Time p =
-            sim::scale_percent(sb.clock.base_period, delays.clock_pct[i]) *
-            std::max(1u, sb.clock.divider);
-        max_p = std::max(max_p, p);
+        max_p = std::max(max_p, sys::effective_period(nominal.sbs[i],
+                                                      delays.clock_pct[i]));
     }
     return max_p;
 }
@@ -56,16 +51,11 @@ std::uint64_t total_protocol_errors(sys::Soc& soc) {
     return n;
 }
 
-RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
-                        bool budget_expired,
-                        const std::vector<std::string>& violations,
-                        const std::vector<std::string>* violations_tail,
-                        verify::StreamingChecker* checker,
-                        const verify::GoldenIndex& golden,
-                        const verify::RunCapture& cap) {
-    const bool stopped_early = soc.scheduler().stop_requested();
-
-    RunReport r;
+bool classify_failure(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
+                      bool budget_expired,
+                      const std::vector<std::string>& violations,
+                      const std::vector<std::string>* violations_tail,
+                      verify::StreamingChecker* checker, RunReport& r) {
     r.goal_met = goal;
     r.faults_fired = faults_fired;
     r.events = soc.scheduler().events_executed();
@@ -84,9 +74,10 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
             os << r.protocol_errors << " token protocol error(s)";
             r.detail = os.str();
         }
-        return r;
+        return true;
     }
-    if (stopped_early && checker != nullptr && checker->diverged()) {
+    if (checker != nullptr && soc.scheduler().stop_requested() &&
+        checker->diverged()) {
         // The checker classified the run at its first mismatching event and
         // stopped the scheduler; the remaining cycles could only have
         // changed the verdict through an invariant violation (checked
@@ -96,7 +87,7 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
         r.outcome = Outcome::kTraceDivergent;
         r.detail = diff.first_mismatch;
         r.locus = diff.locus;
-        return r;
+        return true;
     }
     if (!goal) {
         r.outcome = Outcome::kDeadlocked;
@@ -107,6 +98,21 @@ RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
         } else {
             r.detail = "cycle goal not met before deadline";
         }
+        return true;
+    }
+    return false;
+}
+
+RunReport classify_case(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
+                        bool budget_expired,
+                        const std::vector<std::string>& violations,
+                        const std::vector<std::string>* violations_tail,
+                        verify::StreamingChecker* checker,
+                        const verify::GoldenIndex& golden,
+                        const verify::RunCapture& cap) {
+    RunReport r;
+    if (classify_failure(soc, faults_fired, goal, budget_expired, violations,
+                         violations_tail, checker, r)) {
         return r;
     }
     // Verdict: online (O(#SBs) for a deterministic run) or offline over the

@@ -41,6 +41,18 @@ bool run_bounded(sys::Soc& soc, std::uint64_t n_cycles, sim::Time deadline,
 /// Sum of protocol-error counters over every token node of `soc`.
 std::uint64_t total_protocol_errors(sys::Soc& soc);
 
+/// The failure branches of the outcome precedence, shared by classify_case
+/// and probe_case: fills `r`'s counters, then decides an invariant
+/// violation, else (with a `checker` that stopped the run at its first
+/// mismatch) a trace divergence, else a missed cycle goal as a deadlock.
+/// Returns false, leaving the outcome untouched, when none of them applies.
+/// `violations_tail` is read as in classify_case.
+bool classify_failure(sys::Soc& soc, std::uint64_t faults_fired, bool goal,
+                      bool budget_expired,
+                      const std::vector<std::string>& violations,
+                      const std::vector<std::string>* violations_tail,
+                      verify::StreamingChecker* checker, RunReport& r);
+
 /// Classify a finished bounded run into a RunReport (Outcome precedence:
 /// invariant > deadlock > divergent). Reads the terminal simulation state
 /// (event counter, protocol errors, stop flag, deadlock witness) off `soc`.

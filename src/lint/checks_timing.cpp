@@ -2,10 +2,11 @@
 // head visibility, clock-period hazards, and the absorbed deadlock fixpoint.
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "analytic/models.hpp"
 #include "deadlock/rules.hpp"
 #include "lint/lint.hpp"
 #include "lint/locus.hpp"
@@ -13,132 +14,64 @@
 
 namespace st::lint {
 
-namespace {
-
 using detail::channel_locus;
 using detail::multi_ring_locus;
 using detail::ring_locus;
-using detail::sb_period;
-
-/// Shared slack verdict: the token is away for `away` ps while the node
-/// provisions `provisioned` ps of recycle wait on a `t_local` clock.
-void judge_recycle_slack(LintReport& report, const std::string& locus,
-                         sim::Time provisioned, sim::Time away,
-                         sim::Time t_local, std::uint32_t min_feasible) {
-    if (provisioned >= away) return;
-    const sim::Time deficit = away - provisioned;
-    if (deficit <= t_local) {
-        // Within one alignment cycle: a tuned schedule (initial_recycle
-        // phase alignment) legitimately runs here — the pair testbench does.
-        report.add(Severity::kNote, "recycle-feasibility", locus,
-                   "provisioned wait " + sim::format_time(provisioned) +
-                       " trails the nominal token absence " +
-                       sim::format_time(away) +
-                       " by less than one local cycle; requires tuned "
-                       "initial_recycle phase alignment to avoid stalls");
-        return;
-    }
-    report.add(Severity::kError, "recycle-feasibility", locus,
-               "provisioned wait " + sim::format_time(provisioned) +
-                   " cannot cover the nominal token absence " +
-                   sim::format_time(away) +
-                   "; the local clock stalls on every rotation",
-               "raise the recycle register to >= " +
-                   std::to_string(min_feasible));
-}
-
-/// Producer-side hold value of the channel's master-handshake node, i.e. the
-/// maximum words that can enter the FIFO tail during one token visit.
-std::uint32_t producer_hold(const sys::SocSpec& spec,
-                            const sys::ChannelSpec& ch) {
-    if (ch.on_multi_ring) {
-        for (const auto& m : spec.multi_rings[ch.ring].members) {
-            if (m.sb == ch.from_sb) return m.node.hold;
-        }
-        return 0;  // membership errors are channel-ring's business
-    }
-    const auto& ring = spec.rings[ch.ring];
-    if (ring.sb_a == ch.from_sb) return ring.node_a.hold;
-    if (ring.sb_b == ch.from_sb) return ring.node_b.hold;
-    return 0;
-}
-
-/// Token flight time from the producer's node to the consumer's node — the
-/// minimum quiet window the FIFO has to ripple freshly written words to the
-/// head before the consumer's interfaces enable.
-sim::Time token_flight(const sys::SocSpec& spec, const sys::ChannelSpec& ch) {
-    if (ch.on_multi_ring) {
-        const auto& members = spec.multi_rings[ch.ring].members;
-        for (const auto& m : members) {
-            if (m.sb == ch.from_sb) return m.hop_delay;  // one hop minimum
-        }
-        return 0;
-    }
-    const auto& ring = spec.rings[ch.ring];
-    return ring.sb_a == ch.from_sb ? ring.delay_ab : ring.delay_ba;
-}
-
-}  // namespace
 
 void check_recycle_feasibility(const sys::SocSpec& spec, LintReport& report) {
-    for (const auto& ring : spec.rings) {
-        const sim::Time t_a = sb_period(spec, ring.sb_a);
-        const sim::Time t_b = sb_period(spec, ring.sb_b);
-        const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
-
-        const sim::Time away_a =
-            round_trip + static_cast<sim::Time>(ring.node_b.hold + 1) * t_b;
-        judge_recycle_slack(
-            report, detail::node_locus(spec, ring, ring.sb_a),
-            static_cast<sim::Time>(ring.node_a.recycle) * t_a, away_a, t_a,
-            model::min_recycle(t_a, t_b, ring.node_b.hold, ring.delay_ab,
-                               ring.delay_ba));
-
-        const sim::Time away_b =
-            round_trip + static_cast<sim::Time>(ring.node_a.hold + 1) * t_a;
-        judge_recycle_slack(
-            report, detail::node_locus(spec, ring, ring.sb_b),
-            static_cast<sim::Time>(ring.node_b.recycle) * t_b, away_b, t_b,
-            model::min_recycle(t_b, t_a, ring.node_a.hold, ring.delay_ab,
-                               ring.delay_ba));
-    }
-    for (const auto& mr : spec.multi_rings) {
-        sim::Time hops_total = 0;
-        for (const auto& m : mr.members) hops_total += m.hop_delay;
-        for (std::size_t i = 0; i < mr.members.size(); ++i) {
-            const auto& me = mr.members[i];
-            const sim::Time t_local = sb_period(spec, me.sb);
-            sim::Time others = 0;
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                others += static_cast<sim::Time>(mr.members[j].node.hold + 1) *
-                          sb_period(spec, mr.members[j].sb);
-            }
-            const sim::Time away = hops_total + others;
-            judge_recycle_slack(
-                report,
-                multi_ring_locus(mr) + " node in " +
-                    detail::sb_locus(spec, me.sb),
-                static_cast<sim::Time>(me.node.recycle) * t_local, away,
-                t_local,
-                static_cast<std::uint32_t>((away + t_local - 1) / t_local));
+    const std::vector<dl::StallStation> stations = dl::stall_stations(spec);
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+        const dl::StallStation& s = stations[i];
+        const sim::Time t_local = sys::effective_period(spec.sbs[s.sb]);
+        // A zero period is param-sanity's error: there is no schedule.
+        if (t_local == 0 || s.provisioned >= s.away ||
+            dl::repeats_member(spec, stations, i)) {
+            continue;
         }
+        const std::string locus =
+            s.ring < spec.rings.size()
+                ? detail::node_locus(spec, spec.rings[s.ring], s.sb)
+                : multi_ring_locus(
+                      spec.multi_rings[s.ring - spec.rings.size()]) +
+                      " node in " + detail::sb_locus(spec, s.sb);
+        if (s.away - s.provisioned <= t_local) {
+            // Within one alignment cycle: a tuned schedule (initial_recycle
+            // phase alignment) legitimately runs here — the pair testbench
+            // does.
+            report.add(Severity::kNote, "recycle-feasibility", locus,
+                       "provisioned wait " + sim::format_time(s.provisioned) +
+                           " trails the nominal token absence " +
+                           sim::format_time(s.away) +
+                           " by less than one local cycle; requires tuned "
+                           "initial_recycle phase alignment to avoid stalls");
+            continue;
+        }
+        report.add(Severity::kError, "recycle-feasibility", locus,
+                   "provisioned wait " + sim::format_time(s.provisioned) +
+                       " cannot cover the nominal token absence " +
+                       sim::format_time(s.away) +
+                       "; the local clock stalls on every rotation",
+                   "raise the recycle register to >= " +
+                       std::to_string(static_cast<std::uint32_t>(
+                           (s.away + t_local - 1) / t_local)));
     }
 }
 
 void check_fifo_provisioning(const sys::SocSpec& spec, LintReport& report) {
     for (const auto& ch : spec.channels) {
-        const std::uint32_t burst = producer_hold(spec, ch);
-        if (burst != 0 && ch.fifo.depth < burst) {
+        // channel-ring reports a channel its ring does not bind.
+        const std::optional<dl::ChannelTiming> t = dl::channel_timing(spec, ch);
+        if (!t) continue;
+        if (ch.fifo.depth < t->burst) {
             std::ostringstream os;
             os << "FIFO depth " << ch.fifo.depth
-               << " cannot absorb the worst-case burst of " << burst
+               << " cannot absorb the worst-case burst of " << t->burst
                << " words written during one hold phase; tail backpressure "
                   "breaks the handshake-within-one-cycle contract";
             report.add(Severity::kError, "fifo-depth", channel_locus(ch),
                        os.str(),
                        "set depth >= the producer node's hold value (" +
-                           std::to_string(burst) + ")");
+                           std::to_string(t->burst) + ")");
         }
 
         // Head visibility (paper §4.1): a word written on the producer's
@@ -146,16 +79,12 @@ void check_fifo_provisioning(const sys::SocSpec& spec, LintReport& report) {
         // head handshake before the token reaches the consumer and enables
         // the head interface. Static worst case: full ripple plus the head
         // link's unloaded handshake vs. the token flight time.
-        const sim::Time ripple =
-            static_cast<sim::Time>(ch.fifo.depth) * ch.fifo.stage_delay +
-            2 * (ch.fifo.head_req_delay + ch.fifo.head_ack_delay);
-        const sim::Time flight = token_flight(spec, ch);
-        if (flight != 0 && ripple > flight) {
+        if (t->flight != 0 && t->ripple > t->flight) {
             std::ostringstream os;
-            os << "worst-case head arrival " << sim::format_time(ripple)
+            os << "worst-case head arrival " << sim::format_time(t->ripple)
                << " (full ripple + head handshake) exceeds the token flight "
                   "time "
-               << sim::format_time(flight)
+               << sim::format_time(t->flight)
                << "; the consumer may enable its head interface before the "
                   "last word is visible";
             report.add(Severity::kWarning, "fifo-head-visibility",
@@ -168,6 +97,9 @@ void check_fifo_provisioning(const sys::SocSpec& spec, LintReport& report) {
 
 void check_clock_hazards(const sys::SocSpec& spec, LintReport& report) {
     constexpr double kRatioLimit = 4.0;
+    const auto sb_period = [&](std::size_t i) {
+        return sys::effective_period(spec.sbs[i]);
+    };
     const auto ratio_check = [&](const std::string& locus, sim::Time t_a,
                                  sim::Time t_b) {
         const double hi = static_cast<double>(std::max(t_a, t_b));
@@ -183,20 +115,20 @@ void check_clock_hazards(const sys::SocSpec& spec, LintReport& report) {
         }
     };
     for (const auto& ring : spec.rings) {
-        ratio_check(ring_locus(ring), sb_period(spec, ring.sb_a),
-                    sb_period(spec, ring.sb_b));
+        ratio_check(ring_locus(ring), sb_period(ring.sb_a),
+                    sb_period(ring.sb_b));
     }
     for (const auto& mr : spec.multi_rings) {
         sim::Time hi = 0;
         sim::Time lo = ~sim::Time{0};
         for (const auto& m : mr.members) {
-            hi = std::max(hi, sb_period(spec, m.sb));
-            lo = std::min(lo, sb_period(spec, m.sb));
+            hi = std::max(hi, sb_period(m.sb));
+            lo = std::min(lo, sb_period(m.sb));
         }
         ratio_check(multi_ring_locus(mr), hi, lo);
     }
     for (std::size_t i = 0; i < spec.sbs.size(); ++i) {
-        const sim::Time period = sb_period(spec, i);
+        const sim::Time period = sb_period(i);
         const sim::Time restart = spec.sbs[i].clock.restart_delay;
         if (period > 0 && restart * 2 >= period) {
             report.add(Severity::kWarning, "restart-delay",

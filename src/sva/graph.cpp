@@ -1,19 +1,10 @@
 #include "sva/graph.hpp"
 
-#include <algorithm>
-#include <sstream>
+#include "deadlock/rules.hpp"
 
 namespace st::sva {
 
 namespace {
-
-sim::Time effective_period(const sys::SbSpec& sb) {
-    return sb.clock.base_period * std::max(1u, sb.clock.divider);
-}
-
-std::string sb_name(const sys::SocSpec& spec, std::size_t i) {
-    return i < spec.sbs.size() ? spec.sbs[i].name : "<out-of-range>";
-}
 
 void defect(TokenFlowGraph& g, std::string locus, std::string message,
             bool replayable_trap) {
@@ -36,8 +27,16 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
     for (const auto& sb : spec.sbs) {
         SbNode n;
         n.name = sb.name;
-        n.period = effective_period(sb);
+        n.period = sys::effective_period(sb);
         n.restart = sb.clock.restart_delay;
+        // A zero clock has no schedule. Elaboration rejects it with a clean
+        // exception, so the defect is replayable as a model-trap witness.
+        if (sb.clock.base_period == 0) {
+            defect(g, "SB '" + sb.name + "'", "zero clock base period", true);
+        }
+        if (sb.clock.divider == 0) {
+            defect(g, "SB '" + sb.name + "'", "zero clock divider", true);
+        }
         g.sbs.push_back(std::move(n));
     }
 
@@ -60,40 +59,6 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
         info.holders = (ring.node_a.initial_holder ? 1u : 0u) +
                        (ring.node_b.initial_holder ? 1u : 0u);
         g.rings.push_back(std::move(info));
-
-        const sim::Time t_a = g.sbs[ring.sb_a].period;
-        const sim::Time t_b = g.sbs[ring.sb_b].period;
-        const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
-
-        Station a;
-        a.ring = r;
-        a.sb = ring.sb_a;
-        a.peer_sb = ring.sb_b;
-        a.hold = ring.node_a.hold;
-        a.recycle = ring.node_a.recycle;
-        a.t_local = t_a;
-        a.provisioned = static_cast<sim::Time>(ring.node_a.recycle) * t_a;
-        a.away =
-            round_trip + static_cast<sim::Time>(ring.node_b.hold + 1) * t_b;
-        a.locus = "ring '" + ring.name + "' node in SB '" +
-                  spec.sbs[ring.sb_a].name + "'";
-        g.sbs[ring.sb_a].stations.push_back(g.stations.size());
-        g.stations.push_back(std::move(a));
-
-        Station b;
-        b.ring = r;
-        b.sb = ring.sb_b;
-        b.peer_sb = ring.sb_a;
-        b.hold = ring.node_b.hold;
-        b.recycle = ring.node_b.recycle;
-        b.t_local = t_b;
-        b.provisioned = static_cast<sim::Time>(ring.node_b.recycle) * t_b;
-        b.away =
-            round_trip + static_cast<sim::Time>(ring.node_a.hold + 1) * t_a;
-        b.locus = "ring '" + ring.name + "' node in SB '" +
-                  spec.sbs[ring.sb_b].name + "'";
-        g.sbs[ring.sb_b].stations.push_back(g.stations.size());
-        g.stations.push_back(std::move(b));
     }
 
     // --- multi-rings (token buses) ----------------------------------------
@@ -135,41 +100,6 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
             if (m.node.initial_holder) ++info.holders;
         }
         g.rings.push_back(std::move(info));
-
-        sim::Time hops_total = 0;
-        for (const auto& m : mr.members) hops_total += m.hop_delay;
-        const std::size_t ring_id = spec.rings.size() + r;
-        for (std::size_t i = 0; i < mr.members.size(); ++i) {
-            const auto& me = mr.members[i];
-            const sim::Time t_local = g.sbs[me.sb].period;
-            sim::Time others = 0;
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                others +=
-                    static_cast<sim::Time>(mr.members[j].node.hold + 1) *
-                    g.sbs[mr.members[j].sb].period;
-            }
-            // One station per (member, other-member) pair, like the dl
-            // fixpoint, so stalls can propagate from any co-member's SB.
-            for (std::size_t j = 0; j < mr.members.size(); ++j) {
-                if (j == i) continue;
-                Station v;
-                v.ring = ring_id;
-                v.multi = true;
-                v.sb = me.sb;
-                v.peer_sb = mr.members[j].sb;
-                v.hold = me.node.hold;
-                v.recycle = me.node.recycle;
-                v.t_local = t_local;
-                v.provisioned =
-                    static_cast<sim::Time>(me.node.recycle) * t_local;
-                v.away = hops_total + others;
-                v.locus = "multi-ring '" + mr.name + "' member SB '" +
-                          spec.sbs[me.sb].name + "'";
-                g.sbs[me.sb].stations.push_back(g.stations.size());
-                g.stations.push_back(std::move(v));
-            }
-        }
     }
 
     // --- channels ----------------------------------------------------------
@@ -180,75 +110,45 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
             defect(g, locus, "SB endpoint index out of range", false);
             continue;
         }
+        const std::size_t ring_count =
+            ch.on_multi_ring ? spec.multi_rings.size() : spec.rings.size();
+        if (ch.ring >= ring_count) {
+            defect(g, locus,
+                   ch.on_multi_ring ? "multi-ring index out of range"
+                                    : "ring index out of range",
+                   false);
+            continue;
+        }
+        const std::optional<dl::ChannelTiming> t = dl::channel_timing(spec, ch);
+        if (!t && ch.on_multi_ring) {
+            defect(g, locus,
+                   "an endpoint is not a member of multi-ring '" +
+                       spec.multi_rings[ch.ring].name + "'",
+                   false);
+            continue;
+        }
+        if (!t) {
+            // Elaboration rejects this binding with a clean exception, so
+            // the defect is replayable as a model-trap witness.
+            defect(g, locus,
+                   "bundled ring '" + spec.rings[ch.ring].name +
+                       "' does not join SBs '" + spec.sbs[ch.from_sb].name +
+                       "' and '" + spec.sbs[ch.to_sb].name + "'",
+                   true);
+            continue;
+        }
         FifoEdge e;
         e.channel = c;
         e.from_sb = ch.from_sb;
-        e.to_sb = ch.to_sb;
-        e.multi = ch.on_multi_ring;
         e.depth = ch.fifo.depth;
         e.stage_delay = ch.fifo.stage_delay;
-        e.ripple = static_cast<sim::Time>(ch.fifo.depth) * ch.fifo.stage_delay +
-                   2 * (ch.fifo.head_req_delay + ch.fifo.head_ack_delay);
+        e.burst = t->burst;
+        e.ripple = t->ripple;
+        e.flight = t->flight;
         e.t_prod = g.sbs[ch.from_sb].period;
         e.t_cons = g.sbs[ch.to_sb].period;
-        e.locus = locus;
-        if (!ch.on_multi_ring) {
-            if (ch.ring >= spec.rings.size()) {
-                defect(g, locus, "ring index out of range", false);
-                continue;
-            }
-            const auto& ring = spec.rings[ch.ring];
-            const bool joins = (ring.sb_a == ch.from_sb &&
-                                ring.sb_b == ch.to_sb) ||
-                               (ring.sb_a == ch.to_sb &&
-                                ring.sb_b == ch.from_sb);
-            if (!joins) {
-                // Elaboration rejects this binding with a clean exception,
-                // so the defect is replayable as a model-trap witness.
-                defect(g, locus,
-                       "bundled ring '" + ring.name +
-                           "' does not join SBs '" +
-                           sb_name(spec, ch.from_sb) + "' and '" +
-                           sb_name(spec, ch.to_sb) + "'",
-                       true);
-                continue;
-            }
-            e.ring = ch.ring;
-            e.burst = ch.from_sb == ring.sb_a ? ring.node_a.hold
-                                              : ring.node_b.hold;
-            e.flight =
-                ch.from_sb == ring.sb_a ? ring.delay_ab : ring.delay_ba;
-        } else {
-            if (ch.ring >= spec.multi_rings.size()) {
-                defect(g, locus, "multi-ring index out of range", false);
-                continue;
-            }
-            const auto& mr = spec.multi_rings[ch.ring];
-            std::size_t from_m = mr.members.size();
-            std::size_t to_m = mr.members.size();
-            for (std::size_t m = 0; m < mr.members.size(); ++m) {
-                if (mr.members[m].sb == ch.from_sb) from_m = m;
-                if (mr.members[m].sb == ch.to_sb) to_m = m;
-            }
-            if (from_m == mr.members.size() || to_m == mr.members.size()) {
-                defect(g, locus,
-                       "an endpoint is not a member of multi-ring '" +
-                           mr.name + "'",
-                       false);
-                continue;
-            }
-            e.ring = spec.rings.size() + ch.ring;
-            e.burst = mr.members[from_m].node.hold;
-            // Token flight: hop distances from producer to consumer in ring
-            // order (hop_delay is the wire to the *next* member).
-            for (std::size_t m = from_m; m != to_m;
-                 m = (m + 1) % mr.members.size()) {
-                e.flight += mr.members[m].hop_delay;
-            }
-        }
-        g.sbs[ch.from_sb].out_channels.push_back(g.fifos.size());
-        g.sbs[ch.to_sb].in_channels.push_back(g.fifos.size());
-        g.fifos.push_back(std::move(e));
+        ++g.sbs[ch.to_sb].sources;
+        g.fifos.push_back(e);
     }
 
     // A trap witness promises that elaboration throws *cleanly*. That only
@@ -256,6 +156,12 @@ TokenFlowGraph lower(const sys::SocSpec& spec) {
     // an ill-indexed defect coexists, elaboration may fault on it first, so
     // no defect is safely replayable.
     if (g.trap_defects.size() != g.structural.size()) g.trap_defects.clear();
+
+    // Only a well-formed spec has a schedule to derive.
+    if (g.ok()) {
+        g.stations = dl::stall_stations(spec);
+        for (const auto& st : g.stations) ++g.sbs[st.sb].sources;
+    }
     return g;
 }
 

@@ -5,46 +5,17 @@
 #include <string>
 #include <vector>
 
+#include "deadlock/fixpoint.hpp"
 #include "lint/diagnostic.hpp"
 #include "system/spec.hpp"
 
 namespace st::sva {
 
-/// One token-ring station: a ring endpoint's (or multi-ring member's) view
-/// of the token schedule, annotated with the budgets the static passes
-/// reason about. Mirrors `dl::stall_stations` exactly — one station per
-/// endpoint for two-node rings, one station per (member, other-member) pair
-/// for multi-rings — and both run the one `dl::stall_fixpoint` kernel, so
-/// the sva deadlock pass and `dl::check_rules` agree by construction.
-struct Station {
-    std::size_t ring = 0;  ///< unified id: rings, then multi_rings offset
-    bool multi = false;
-    std::size_t sb = 0;       ///< SB hosting this station
-    std::size_t peer_sb = 0;  ///< SB whose stall this station inherits
-    std::uint32_t hold = 0;
-    std::uint32_t recycle = 0;
-    sim::Time t_local = 0;      ///< effective local clock period, ps
-    sim::Time provisioned = 0;  ///< R * T_local: wait budgeted after passing
-    sim::Time away = 0;         ///< nominal token absence, ps
-    std::string locus;          ///< lint-style locus for diagnostics
-
-    /// Signed schedule margin, floored at zero on each side.
-    sim::Time deficit() const {
-        return away > provisioned ? away - provisioned : 0;
-    }
-    sim::Time slack() const {
-        return provisioned > away ? provisioned - away : 0;
-    }
-};
-
 /// One channel (self-timed FIFO + handshakes) as a data edge of the graph,
-/// annotated with the occupancy and timing intervals the passes need.
+/// with the `dl::channel_timing` quantities the passes read.
 struct FifoEdge {
     std::size_t channel = 0;  ///< index into SocSpec::channels
     std::size_t from_sb = 0;
-    std::size_t to_sb = 0;
-    std::size_t ring = 0;  ///< unified ring id the channel is bundled to
-    bool multi = false;
     std::uint32_t depth = 0;
     sim::Time stage_delay = 0;
     std::uint32_t burst = 0;  ///< producer hold H: words pushed per rotation
@@ -52,17 +23,16 @@ struct FifoEdge {
     sim::Time flight = 0;     ///< token flight producer -> consumer, ps
     sim::Time t_prod = 0;     ///< producer effective clock period
     sim::Time t_cons = 0;     ///< consumer effective clock period
-    std::string locus;
 };
 
-/// One SB with its schedule-relevant clock parameters and adjacency.
+/// One SB with its schedule-relevant clock parameters.
 struct SbNode {
     std::string name;
-    sim::Time period = 0;   ///< effective period (base * divider)
+    sim::Time period = 0;   ///< sys::effective_period
     sim::Time restart = 0;  ///< async restart latency
-    std::vector<std::size_t> stations;
-    std::vector<std::size_t> out_channels;
-    std::vector<std::size_t> in_channels;
+    /// Inbound async event sources landing in this SB's timeslots: one per
+    /// station hosted here, one per channel ending here.
+    std::size_t sources = 0;
 };
 
 /// One unified ring (two-node rings first, then multi-rings).
@@ -83,7 +53,10 @@ struct TokenFlowGraph {
     const sys::SocSpec* spec = nullptr;
     std::vector<SbNode> sbs;
     std::vector<RingInfo> rings;
-    std::vector<Station> stations;
+    /// `dl::stall_stations(*spec)`: dl::check_rules and the deadlock pass
+    /// run the one `dl::stall_fixpoint` over the same stations, so they
+    /// agree by construction. `dl::station_locus` renders a reported one.
+    std::vector<dl::StallStation> stations;
     std::vector<FifoEdge> fifos;
     /// Lowering-time structural defects (rule `sva-structure`). When any
     /// defect makes an element un-lowerable the element is skipped; deeper

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "deadlock/fixpoint.hpp"
+#include "deadlock/rules.hpp"
+#include "lint/locus.hpp"
 #include "sim/time.hpp"
 
 namespace st::sva {
@@ -141,7 +143,9 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
         os << "transitive-stall fixpoint converged over " << V
            << " station(s) in " << fp.rounds << " round(s); worst stall bound "
            << ps(worst);
-        if (worst > 0) os << " at " << g.stations[worst_i].locus;
+        if (worst > 0) {
+            os << " at " << dl::station_locus(*g.spec, g.stations[worst_i]);
+        }
         os << "; " << fragile << "/" << V
            << " station(s) have negative worst-corner slack under the "
               "50-200% envelope — absorbed by count-quantization (delivery "
@@ -174,7 +178,7 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
     ob.verdict = Verdict::kPlausible;
     std::ostringstream os;
     if (!cycle.empty()) {
-        ob.locus = g.stations[cycle.front()].locus;
+        ob.locus = dl::station_locus(*g.spec, g.stations[cycle.front()]);
         std::int64_t gain = 0;
         os << "positive-deficit coupling cycle (stall fixpoint diverges): ";
         for (std::size_t k = 0; k < cycle.size(); ++k) {
@@ -183,7 +187,8 @@ std::vector<Obligation> pass_deadlock(const TokenFlowGraph& g) {
                                    static_cast<std::int64_t>(s.provisioned);
             gain += d;
             if (k) os << " <- ";
-            os << s.locus << " (" << (d >= 0 ? "+" : "") << d << " ps)";
+            os << dl::station_locus(*g.spec, s) << " ("
+               << (d >= 0 ? "+" : "") << d << " ps)";
         }
         os << "; net +" << gain
            << " ps per rotation — each rotation returns the tokens later "
@@ -224,7 +229,7 @@ std::vector<Obligation> pass_occupancy(const TokenFlowGraph& g) {
         violated = true;
         Obligation ob;
         ob.pass = "sva-occupancy";
-        ob.locus = e.locus;
+        ob.locus = lint::detail::channel_locus(g.spec->channels[e.channel]);
         ob.verdict = Verdict::kPlausible;
         std::ostringstream os;
         os << "worst-case occupancy interval [0, H=" << e.burst
@@ -364,7 +369,7 @@ std::vector<Obligation> pass_clocks(const TokenFlowGraph& g) {
     const auto& first = g.fifos[flipped[0]];
     Obligation ob;
     ob.pass = "sva-clocks";
-    ob.locus = first.locus;
+    ob.locus = lint::detail::channel_locus(g.spec->channels[first.channel]);
     ob.verdict = Verdict::kPlausible;
     std::ostringstream os;
     os << "tail-handshake service rate is not envelope-stable for "
@@ -433,9 +438,7 @@ std::vector<Obligation> pass_ordering(const TokenFlowGraph& g) {
     // dynamic race audit, which reports zero races on exactly this census.
     std::size_t pairs = 0;
     for (const auto& sb : g.sbs) {
-        const std::size_t sources =
-            sb.stations.size() + sb.in_channels.size();
-        pairs += sources * (sources - 1) / 2;
+        pairs += sb.sources * (sb.sources - 1) / 2;
     }
     Obligation ob;
     ob.pass = "sva-ordering";

@@ -82,4 +82,15 @@ struct SocSpec {
     std::string program_key;
 };
 
+/// Effective local clock period of `sb` (ps): base period times output
+/// divider, the rate its StoppableClock runs at. `clock_pct` scales the base
+/// period the way sys::apply perturbs it (100 = nominal). Zero when either
+/// factor is zero; such an SB fails elaboration.
+inline sim::Time effective_period(const SbSpec& sb, unsigned clock_pct = 100) {
+    const sim::Time base =
+        clock_pct == 100 ? sb.clock.base_period
+                         : sim::scale_percent(sb.clock.base_period, clock_pct);
+    return base * sb.clock.divider;
+}
+
 }  // namespace st::sys

@@ -10,7 +10,7 @@ namespace {
 
 constexpr std::size_t kNone = dl::kNoStation;
 
-sim::Time effective_period(const sys::SbSpec& sb) {
+sim::Time oracle_period(const sys::SbSpec& sb) {
     return sb.clock.base_period * sb.clock.divider;
 }
 
@@ -31,8 +31,8 @@ LegacyRules check_rules(const sys::SocSpec& spec) {
     std::vector<NodeView> nodes;
     for (std::size_t r = 0; r < spec.rings.size(); ++r) {
         const auto& ring = spec.rings[r];
-        const sim::Time t_a = effective_period(spec.sbs[ring.sb_a]);
-        const sim::Time t_b = effective_period(spec.sbs[ring.sb_b]);
+        const sim::Time t_a = oracle_period(spec.sbs[ring.sb_a]);
+        const sim::Time t_b = oracle_period(spec.sbs[ring.sb_b]);
         const sim::Time round_trip = ring.delay_ab + ring.delay_ba;
 
         NodeView a;
@@ -59,13 +59,13 @@ LegacyRules check_rules(const sys::SocSpec& spec) {
         for (const auto& m : mr.members) hops_total += m.hop_delay;
         for (std::size_t i = 0; i < mr.members.size(); ++i) {
             const auto& me = mr.members[i];
-            const sim::Time t_local = effective_period(spec.sbs[me.sb]);
+            const sim::Time t_local = oracle_period(spec.sbs[me.sb]);
             sim::Time others = 0;
             for (std::size_t j = 0; j < mr.members.size(); ++j) {
                 if (j == i) continue;
                 const auto& other = mr.members[j];
                 others += static_cast<sim::Time>(other.node.hold + 1) *
-                          effective_period(spec.sbs[other.sb]);
+                          oracle_period(spec.sbs[other.sb]);
             }
             for (std::size_t j = 0; j < mr.members.size(); ++j) {
                 if (j == i) continue;
@@ -227,7 +227,9 @@ std::vector<sva::Obligation> pass_deadlock(const sva::TokenFlowGraph& g) {
         os << "transitive-stall fixpoint converged over " << V
            << " station(s) in " << fp.rounds
            << " round(s); worst stall bound " << sim::format_time(worst);
-        if (worst > 0) os << " at " << g.stations[worst_i].locus;
+        if (worst > 0) {
+            os << " at " << dl::station_locus(*g.spec, g.stations[worst_i]);
+        }
         os << "; " << fragile << "/" << V
            << " station(s) have negative worst-corner slack under the "
               "50-200% envelope — absorbed by count-quantization (delivery "
@@ -257,7 +259,7 @@ std::vector<sva::Obligation> pass_deadlock(const sva::TokenFlowGraph& g) {
     ob.verdict = sva::Verdict::kPlausible;
     std::ostringstream os;
     if (!cycle.empty()) {
-        ob.locus = g.stations[cycle.front()].locus;
+        ob.locus = dl::station_locus(*g.spec, g.stations[cycle.front()]);
         std::int64_t gain = 0;
         os << "positive-deficit coupling cycle (stall fixpoint diverges): ";
         for (std::size_t k = 0; k < cycle.size(); ++k) {
@@ -266,7 +268,8 @@ std::vector<sva::Obligation> pass_deadlock(const sva::TokenFlowGraph& g) {
                                    static_cast<std::int64_t>(s.provisioned);
             gain += d;
             if (k) os << " <- ";
-            os << s.locus << " (" << (d >= 0 ? "+" : "") << d << " ps)";
+            os << dl::station_locus(*g.spec, s) << " ("
+               << (d >= 0 ? "+" : "") << d << " ps)";
         }
         os << "; net +" << gain
            << " ps per rotation — each rotation returns the tokens later "

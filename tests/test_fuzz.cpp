@@ -171,6 +171,42 @@ TEST(Campaign, TokenDuplicateTripsProtocolInvariant) {
     EXPECT_GT(r.protocol_errors, 0u);
 }
 
+TEST(Campaign, ProbeCaseAgreesWithRunCaseOnFailures) {
+    // probe_case classifies through classify_case's invariant and deadlock
+    // branches, so without a golden run it reports what run_case does.
+    const fuzz::Campaign campaign(pair_config());
+    const struct {
+        fuzz::FaultClass cls;
+        std::size_t side;
+        fuzz::Outcome expect;
+    } kCases[] = {
+        {fuzz::FaultClass::kTokenDropWire, 1, fuzz::Outcome::kDeadlocked},
+        {fuzz::FaultClass::kTokenDuplicate, 0,
+         fuzz::Outcome::kInvariantViolation},
+    };
+    for (const auto& k : kCases) {
+        SCOPED_TRACE(fuzz::outcome_name(k.expect));
+        fuzz::FuzzCase c;
+        c.delays = sys::DelayConfig::nominal(campaign.spec());
+        fuzz::Fault f;
+        f.cls = k.cls;
+        f.unit = 0;
+        f.side = k.side;
+        f.nth = 1;
+        c.faults.push_back(f);
+
+        const fuzz::RunReport run = campaign.run_case(c);
+        const fuzz::RunReport probe =
+            fuzz::probe_case(campaign.spec(), c, campaign.config().cycles,
+                             campaign.config().max_events);
+        EXPECT_EQ(run.outcome, k.expect);
+        EXPECT_EQ(probe.outcome, run.outcome);
+        EXPECT_EQ(probe.detail, run.detail);
+        EXPECT_EQ(probe.faults_fired, run.faults_fired);
+        EXPECT_EQ(probe.protocol_errors, run.protocol_errors);
+    }
+}
+
 TEST(Campaign, RestartGlitchIsAbsorbed) {
     // A delayed asynchronous restart shifts wall-clock time only; in local
     // cycle index space nothing moves — the paper's robustness argument.

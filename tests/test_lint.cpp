@@ -153,6 +153,20 @@ TEST(TimingPasses, HeadVisibilityWarnsOnSlowDeepFifo) {
     EXPECT_FALSE(report.for_rule("fifo-head-visibility").empty());
 }
 
+TEST(TimingPasses, ZeroClockIsParamSanityNotACrash) {
+    // recycle-feasibility skips the zero-clock SB's node (its hint would
+    // divide by the period); param-sanity names the root cause.
+    for (const char* file : {"zero_divider", "zero_period"}) {
+        SCOPED_TRACE(file);
+        const auto spec = sva::to_spec(sva::load_spec_file(
+            std::string(ST_TESTS_DATA_DIR) + "/" + file + ".stspec"));
+        const auto report = lint(spec);
+        EXPECT_TRUE(report.has_error("param-sanity")) << report.to_string();
+        EXPECT_TRUE(report.for_rule("recycle-feasibility").empty())
+            << report.to_string();
+    }
+}
+
 TEST(TimingPasses, ClockRatioWarnsBeyondFourX) {
     sys::PairOptions opt;
     opt.period_b = 5000;  // 5x the 1000 ps side

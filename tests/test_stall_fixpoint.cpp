@@ -9,8 +9,9 @@
 // On every case dl::check_rules must match the old O(nodes^2) loop (verdict,
 // advisories, stall bounds when ok), sva-deadlock must match the old
 // coupling-list pass obligation for obligation, the kernel must reproduce
-// the old loop's stall, argmax and round count, and the dl and sva verdicts
-// must agree.
+// the old loop's stall, argmax and round count, the dl and sva verdicts
+// must agree, and lint's recycle-feasibility must flag exactly the stations
+// whose provisioned wait falls short of the token absence.
 
 #include <stdexcept>
 #include <string>
@@ -46,17 +47,39 @@ sys::SocSpec generated(topo::Shape shape, std::size_t sbs,
     return sva::to_spec(topo::generate(o));
 }
 
-std::vector<dl::StallStation> plain_stations(const sva::TokenFlowGraph& g) {
-    std::vector<dl::StallStation> out;
-    for (const auto& s : g.stations) {
-        out.push_back({s.ring, s.sb, s.peer_sb, s.away, s.provisioned});
+/// The ring nodes lint's recycle-feasibility flags, the stations dl's
+/// advisories name, and the stations with `provisioned < away` must be the
+/// same list: one schedule model read three ways. Lint words a multi-ring
+/// member "node in SB" where dl::station_locus says "member SB".
+void expect_schedule_agreement(const sys::SocSpec& spec) {
+    lint::LintReport lr;
+    lint::check_recycle_feasibility(spec, lr);
+    std::vector<std::string> flagged;
+    for (const auto& d : lr.for_rule("recycle-feasibility")) {
+        std::string locus = d.locus;
+        const std::size_t at = locus.find("' node in SB '");
+        if (locus.rfind("multi-ring '", 0) == 0 && at != std::string::npos) {
+            locus.replace(at, 14, "' member SB '");
+        }
+        flagged.push_back(locus);
     }
-    return out;
-}
 
-bool same_station(const dl::StallStation& a, const dl::StallStation& b) {
-    return a.ring == b.ring && a.sb == b.sb && a.peer_sb == b.peer_sb &&
-           a.away == b.away && a.provisioned == b.provisioned;
+    std::vector<std::string> advised;
+    for (const auto& v : dl::check_rules(spec).violations) {
+        const std::size_t at = v.find(": provisioned wait ");
+        if (at != std::string::npos) advised.push_back(v.substr(0, at));
+    }
+
+    const std::vector<dl::StallStation> stations = dl::stall_stations(spec);
+    std::vector<std::string> late;
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+        if (stations[i].provisioned < stations[i].away &&
+            !dl::repeats_member(spec, stations, i)) {
+            late.push_back(dl::station_locus(spec, stations[i]));
+        }
+    }
+    EXPECT_EQ(flagged, late) << "lint recycle-feasibility vs the stations";
+    EXPECT_EQ(advised, late) << "dl advisories vs the stations";
 }
 
 /// Tallies over one differential run, so the corpus can be checked to
@@ -129,16 +152,12 @@ void expect_matches_oracles(const std::string& name, const sys::SocSpec& spec,
         }
     }
 
+    expect_schedule_agreement(spec);
+
     if (!g.ok()) return;
     ASSERT_EQ(now.size(), 1u);
     EXPECT_EQ(rules.ok, now[0].verdict == sva::Verdict::kProven)
         << "dl and sva-deadlock verdicts disagree";
-    const std::vector<dl::StallStation> nodes = dl::stall_stations(spec);
-    const std::vector<dl::StallStation> stations = plain_stations(g);
-    ASSERT_EQ(nodes.size(), stations.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        EXPECT_TRUE(same_station(nodes[i], stations[i])) << "station " << i;
-    }
     if (tally) ++(rules.ok ? tally->converged : tally->diverged);
 }
 
@@ -243,6 +262,65 @@ TEST_P(StallFixpointMutations, MatchOracles) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, StallFixpointMutations,
                          ::testing::Range<std::size_t>(0, kShards));
+
+// --- channel timing ----------------------------------------------------------
+
+/// A 3-member bus whose only channel skips a member: 0 -> 2 crosses hops
+/// 0 and 1 (600 + 700 ps), not one hop.
+sys::SocSpec skip_member_bus(sim::Time stage_delay) {
+    sys::BusOptions o;
+    o.size = 3;
+    sys::SocSpec spec = sys::make_bus_spec(o);
+    auto& members = spec.multi_rings[0].members;
+    members[0].hop_delay = 600;
+    members[1].hop_delay = 700;
+    members[2].hop_delay = 800;
+    sys::ChannelSpec ch = spec.channels[0];
+    ch.name = "skip";
+    ch.from_sb = members[0].sb;
+    ch.to_sb = members[2].sb;
+    ch.fifo.stage_delay = stage_delay;
+    ch.fifo.head_req_delay = 100;
+    ch.fifo.head_ack_delay = 100;
+    spec.channels = {ch};
+    return spec;
+}
+
+TEST(ChannelTiming, MultiRingFlightSumsTheHopsForLintAndSva) {
+    // ripple = depth * stage + 2 * (100 + 100) ps against a 1300 ps flight:
+    // 1000 ps clears it (a one-hop flight of 600 ps would not), 1600 ps
+    // does not.
+    for (const sim::Time stage : {200u, 400u}) {
+        const sys::SocSpec spec = skip_member_bus(stage);
+        ASSERT_EQ(spec.channels[0].fifo.depth, 3u);
+        const sim::Time ripple = 3 * stage + 400;
+        const auto t = dl::channel_timing(spec, spec.channels[0]);
+        ASSERT_TRUE(t.has_value());
+        EXPECT_EQ(t->flight, 1300u);
+        EXPECT_EQ(t->ripple, ripple);
+
+        lint::LintReport lr;
+        lint::check_fifo_provisioning(spec, lr);
+        const auto warnings = lr.for_rule("fifo-head-visibility");
+        if (ripple <= 1300) {
+            EXPECT_TRUE(warnings.empty());
+        } else {
+            ASSERT_EQ(warnings.size(), 1u);
+            EXPECT_NE(warnings[0].message.find(sim::format_time(1300)),
+                      std::string::npos)
+                << warnings[0].message;
+        }
+
+        const auto obs = sva::pass_occupancy(sva::lower(spec));
+        ASSERT_EQ(obs.size(), 1u);
+        const std::string margin =
+            "worst head-visibility margin " +
+            std::to_string(1300 - static_cast<std::int64_t>(ripple)) +
+            " ps at channel 'skip'";
+        EXPECT_NE(obs[0].evidence.find(margin), std::string::npos)
+            << obs[0].evidence;
+    }
+}
 
 // --- the kernel on its own -------------------------------------------------
 

@@ -92,6 +92,28 @@ TEST(SvaGraph, NeverThrowsOnIllIndexedSpec) {
     EXPECT_TRUE(g.trap_defects.empty());
 }
 
+TEST(SvaGraph, ZeroClockIsAConfirmedStructureDefect) {
+    // Elaboration rejects a zero period or divider with a clean exception,
+    // so the defect replays as a model trap instead of proving a schedule.
+    for (const char* file : {"zero_divider", "zero_period"}) {
+        SCOPED_TRACE(file);
+        const auto spec = sva::to_spec(sva::load_spec_file(
+            std::string(ST_TESTS_DATA_DIR) + "/" + file + ".stspec"));
+        const auto g = sva::lower(spec);
+        ASSERT_EQ(g.structural.size(), 1u);
+        EXPECT_EQ(g.structural[0].locus, "SB 'a'");
+        EXPECT_EQ(g.trap_defects.size(), 1u);
+        EXPECT_TRUE(g.stations.empty());
+
+        const auto vr = sva::verify(spec);
+        ASSERT_EQ(vr.obligations.size(), 1u);
+        EXPECT_EQ(vr.obligations[0].pass, "sva-structure");
+        EXPECT_EQ(vr.obligations[0].verdict, sva::Verdict::kConfirmed);
+        EXPECT_EQ(vr.obligations[0].replay.rfind("model trap: ", 0), 0u)
+            << vr.obligations[0].replay;
+    }
+}
+
 // --- deadlock pass vs. the dl fixpoint -------------------------------------
 
 TEST(SvaDeadlock, AgreesWithCheckRulesOnAllSpecs) {
